@@ -157,7 +157,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--hostile") == 0) {
       opt.hostile = true;
     } else if (std::strcmp(argv[i], "--hijack-fraction") == 0) {
-      opt.hijack_fraction = std::atof(argv[++i]);
+      opt.hijack_fraction = std::atof(next());
     } else if (std::strcmp(argv[i], "--out") == 0) {
       opt.out = next();
     } else {

@@ -60,6 +60,8 @@ inline net::PingResult run_pings(sim::EventLoop& loop, net::Stack& from,
 
 /// One ttcp transfer (sender -> receiver); returns the receiver-side
 /// result (bytes + elapsed measured at the sink, like the original tool).
+/// A transfer that is reset, stalls past the deadline or delivers short
+/// is a failed experiment, not a throughput: it exits the bench non-zero.
 inline net::TtcpResult run_ttcp(sim::EventLoop& loop, net::Stack& from,
                                 net::Stack& to, net::Ipv4Address to_ip,
                                 std::uint64_t bytes, std::uint16_t port) {
@@ -76,9 +78,25 @@ inline net::TtcpResult run_ttcp(sim::EventLoop& loop, net::Stack& from,
   sender.run(to_ip, port, opts, [](net::TtcpResult) {});
   // Generous ceiling: even the slowest tunneled WAN transfer finishes
   // well inside two simulated hours.
-  const auto deadline = loop.now() + util::seconds(7200);
+  constexpr int kDeadlineS = 7200;
+  const auto deadline = loop.now() + util::seconds(kDeadlineS);
   while (!done && loop.now() < deadline) {
     loop.run_until(loop.now() + util::seconds(5));
+  }
+  if (!done) {
+    std::fprintf(stderr,
+                 "ttcp to port %u stalled: no completion within %d "
+                 "simulated s\n",
+                 static_cast<unsigned>(port), kDeadlineS);
+    std::exit(1);
+  }
+  if (!result.ok || result.bytes != bytes) {
+    std::fprintf(stderr, "ttcp to port %u failed: %llu of %llu bytes%s\n",
+                 static_cast<unsigned>(port),
+                 static_cast<unsigned long long>(result.bytes),
+                 static_cast<unsigned long long>(bytes),
+                 result.ok ? "" : " (connection reset)");
+    std::exit(1);
   }
   return result;
 }

@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark): the hot paths of the IPOP data
 // plane — SHA-1 address mapping, packet codecs, per-hop forwarding,
-// ring-distance arithmetic, greedy next-hop selection, and checksum
-// computation.
+// ring-distance arithmetic, greedy next-hop selection, checksum
+// computation, and the event engine's delivery path.
 //
 // Results are also written to BENCH_micro_core.json (google-benchmark's
 // JSON format) unless the caller passes its own --benchmark_out flags.
@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc_count.hpp"
 #include "brunet/connection_table.hpp"
 #include "brunet/packet.hpp"
 #include "brunet/secure.hpp"
@@ -20,7 +21,9 @@
 #include "net/tcp_wire.hpp"
 #include "net/topology.hpp"
 #include "net/udp.hpp"
+#include "sim/event_loop.hpp"
 #include "util/buffer.hpp"
+#include "util/lifetime.hpp"
 #include "util/random.hpp"
 #include "util/sha1.hpp"
 
@@ -130,6 +133,62 @@ void BM_RingDistance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RingDistance);
+
+// The engine's per-frame cost: a standing population of in-flight link
+// deliveries, each of which schedules its successor when it runs.  The
+// closure has the shape of a link delivery — liveness guard, two
+// pointers, the frame handle and its size: 80 bytes — so
+// allocs_per_event pins that such an event never touches the heap (the
+// bench gate requires exactly 0).
+class DeliveryBench {
+ public:
+  static constexpr int kInFlight = 256;
+
+  DeliveryBench() : frame_(util::Buffer::allocate(64, 0)) {
+    for (int i = 0; i < kInFlight; ++i) send();
+  }
+  sim::EventLoop& loop() { return loop_; }
+  std::uint64_t bytes() const { return bytes_; }
+
+  void send() {
+    auto deliver = [alive = alive_.guard(), self = this, sink = &bytes_,
+                    frame = frame_.share(), size = frame_.size()] {
+      if (!alive) return;
+      *sink += size;
+      self->send();
+    };
+    static_assert(sizeof(deliver) == 80);
+    loop_.schedule_delivery(loop_.now() + util::microseconds(100), 0, seq_++,
+                            static_cast<std::uint32_t>(frame_.size()),
+                            std::move(deliver));
+  }
+
+ private:
+  sim::EventLoop loop_;
+  util::Buffer frame_;
+  std::uint64_t seq_ = 0;
+  std::uint64_t bytes_ = 0;
+  util::AliveToken alive_;
+};
+
+void BM_EventLoopDeliver(benchmark::State& state) {
+  DeliveryBench bed;
+  // Warm up: the heap and the slot arena reach their steady size.
+  for (int i = 0; i < 4 * DeliveryBench::kInFlight; ++i) {
+    bed.loop().run_one();
+  }
+  const std::uint64_t allocs0 = bench::allocs_counted();
+  bench::set_alloc_counting(true);
+  for (auto _ : state) bed.loop().run_one();
+  bench::set_alloc_counting(false);
+  benchmark::DoNotOptimize(bed.bytes());
+  const auto events = static_cast<double>(state.iterations());
+  state.counters["allocs_per_event"] =
+      static_cast<double>(bench::allocs_counted() - allocs0) / events;
+  state.counters["events_per_s"] =
+      benchmark::Counter(events, benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_EventLoopDeliver);
 
 void BM_GreedyNextHop(benchmark::State& state) {
   util::Rng rng(3);

@@ -1,42 +1,86 @@
 #include "brunet/address.hpp"
 
+#include <bit>
+#include <cstring>
+
 #include "util/bytes.hpp"
 
 namespace ipop::brunet {
 
 namespace {
 
-/// out = a - b (mod 2^160).
-Address::Bytes sub_mod(const Address::Bytes& a, const Address::Bytes& b) {
-  Address::Bytes out{};
-  int borrow = 0;
-  for (int i = Address::kBytes - 1; i >= 0; --i) {
-    int v = static_cast<int>(a[i]) - static_cast<int>(b[i]) - borrow;
-    borrow = v < 0 ? 1 : 0;
-    out[i] = static_cast<std::uint8_t>(v & 0xFF);
-  }
-  return out;  // modular: borrow out of the top wraps, which is what we want
+// The 160-bit ring value as three big-endian words: bytes [0, 8) are the
+// most significant, then [8, 16), then the low 32 bits in [16, 20).
+// Member-wise comparison in declaration order is numeric order.
+struct Words {
+  std::uint64_t hi;
+  std::uint64_t mid;
+  std::uint32_t lo;
+  friend auto operator<=>(const Words&, const Words&) = default;
+};
+
+// Big-endian word <-> host order (the same swap both ways).
+std::uint64_t swap_be(std::uint64_t v) {
+  return std::endian::native == std::endian::little ? __builtin_bswap64(v) : v;
+}
+std::uint32_t swap_be(std::uint32_t v) {
+  return std::endian::native == std::endian::little ? __builtin_bswap32(v) : v;
 }
 
-/// out = a + b (mod 2^160).
-Address::Bytes add_mod(const Address::Bytes& a, const Address::Bytes& b) {
+Words load(const Address::Bytes& b) {
+  Words w{};
+  std::memcpy(&w.hi, b.data(), 8);
+  std::memcpy(&w.mid, b.data() + 8, 8);
+  std::memcpy(&w.lo, b.data() + 16, 4);
+  return {swap_be(w.hi), swap_be(w.mid), swap_be(w.lo)};
+}
+
+Address::Bytes store(const Words& w) {
+  const Words be{swap_be(w.hi), swap_be(w.mid), swap_be(w.lo)};
   Address::Bytes out{};
-  int carry = 0;
-  for (int i = Address::kBytes - 1; i >= 0; --i) {
-    int v = static_cast<int>(a[i]) + static_cast<int>(b[i]) + carry;
-    carry = v > 0xFF ? 1 : 0;
-    out[i] = static_cast<std::uint8_t>(v & 0xFF);
-  }
+  std::memcpy(out.data(), &be.hi, 8);
+  std::memcpy(out.data() + 8, &be.mid, 8);
+  std::memcpy(out.data() + 16, &be.lo, 4);
   return out;
+}
+
+/// x - y (mod 2^160): the borrow out of the top word wraps.
+Words sub(const Words& x, const Words& y) {
+  Words d;
+  d.lo = x.lo - y.lo;
+  const std::uint64_t borrow_lo = x.lo < y.lo ? 1 : 0;
+  d.mid = x.mid - y.mid - borrow_lo;
+  const std::uint64_t borrow_mid =
+      (x.mid < y.mid || (x.mid == y.mid && borrow_lo != 0)) ? 1 : 0;
+  d.hi = x.hi - y.hi - borrow_mid;
+  return d;
+}
+
+/// x + y (mod 2^160): the carry out of the top word is dropped.
+Words add(const Words& x, const Words& y) {
+  Words s;
+  s.lo = x.lo + y.lo;
+  const std::uint64_t carry_lo = s.lo < x.lo ? 1 : 0;
+  s.mid = x.mid + y.mid + carry_lo;
+  const std::uint64_t carry_mid =
+      (s.mid < x.mid || (s.mid == x.mid && carry_lo != 0)) ? 1 : 0;
+  s.hi = x.hi + y.hi + carry_mid;
+  return s;
+}
+
+/// min(|x - y|, 2^160 - |x - y|).
+Words ring(const Words& x, const Words& y) {
+  const Words d1 = sub(y, x);
+  const Words d2 = sub(x, y);
+  return d1 <= d2 ? d1 : d2;
 }
 
 }  // namespace
 
 int compare_bytes(const Address::Bytes& a, const Address::Bytes& b) {
-  for (std::size_t i = 0; i < Address::kBytes; ++i) {
-    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
-  }
-  return 0;
+  // Big-endian magnitudes order exactly as their bytes do.
+  const int c = std::memcmp(a.data(), b.data(), Address::kBytes);
+  return (c > 0) - (c < 0);
 }
 
 Address Address::from_ip(net::Ipv4Address ip) {
@@ -78,28 +122,27 @@ std::string Address::to_hex() const {
 }
 
 Address::Bytes Address::directed_distance(const Address& a, const Address& b) {
-  return sub_mod(b.bytes_, a.bytes_);
+  return store(sub(load(b.bytes_), load(a.bytes_)));
 }
 
 Address::Bytes Address::ring_distance(const Address& a, const Address& b) {
-  Bytes d1 = sub_mod(b.bytes_, a.bytes_);
-  Bytes d2 = sub_mod(a.bytes_, b.bytes_);
-  return compare_bytes(d1, d2) <= 0 ? d1 : d2;
+  return store(ring(load(a.bytes_), load(b.bytes_)));
 }
 
 bool Address::closer(const Address& target, const Address& x,
                      const Address& y) {
-  return compare_bytes(ring_distance(target, x), ring_distance(target, y)) < 0;
+  const Words t = load(target.bytes_);
+  return ring(t, load(x.bytes_)) < ring(t, load(y.bytes_));
 }
 
 bool Address::in_range_right(const Address& a, const Address& x,
                              const Address& b) {
   // x in (a, b] clockwise  <=>  dist(a->x) != 0 and dist(a->x) <= dist(a->b).
-  const Bytes ax = directed_distance(a, x);
-  const Bytes ab = directed_distance(a, b);
-  const Bytes zero{};
-  if (compare_bytes(ax, zero) == 0) return false;
-  return compare_bytes(ax, ab) <= 0;
+  const Words wa = load(a.bytes_);
+  const Words ax = sub(load(x.bytes_), wa);
+  const Words ab = sub(load(b.bytes_), wa);
+  if (ax == Words{}) return false;
+  return ax <= ab;
 }
 
 Address Address::offset_by_pow2(int bit) const {
@@ -108,11 +151,11 @@ Address Address::offset_by_pow2(int bit) const {
   if (byte_index >= 0) {
     delta[byte_index] = static_cast<std::uint8_t>(1u << (bit % 8));
   }
-  return Address(add_mod(bytes_, delta));
+  return offset_by(delta);
 }
 
 Address Address::offset_by(const Bytes& delta) const {
-  return Address(add_mod(bytes_, delta));
+  return Address(store(add(load(bytes_), load(delta))));
 }
 
 }  // namespace ipop::brunet

@@ -10,6 +10,7 @@
 #include <array>
 #include <compare>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "net/ipv4.hpp"
@@ -63,17 +64,14 @@ class Address {
 
   friend bool operator==(const Address&, const Address&) = default;
   friend std::strong_ordering operator<=>(const Address& a, const Address& b) {
-    for (std::size_t i = 0; i < kBytes; ++i) {
-      if (a.bytes_[i] != b.bytes_[i]) return a.bytes_[i] <=> b.bytes_[i];
-    }
-    return std::strong_ordering::equal;
+    return std::memcmp(a.bytes_.data(), b.bytes_.data(), kBytes) <=> 0;
   }
 
  private:
   Bytes bytes_{};
 };
 
-/// Compare two 160-bit magnitudes.
+/// Compare two 160-bit magnitudes: -1, 0 or 1.
 int compare_bytes(const Address::Bytes& a, const Address::Bytes& b);
 
 }  // namespace ipop::brunet

@@ -4,7 +4,7 @@
 
 namespace ipop::sim {
 
-void CpuScheduler::run(Duration cost, std::function<void()> done) {
+void CpuScheduler::run(Duration cost, EventLoop::Callback done) {
   const auto scaled = Duration{static_cast<std::int64_t>(
       std::llround(static_cast<double>(cost.count()) * (1.0 + load_)))};
   // Timeslice wait applies when the process has to be *scheduled in*

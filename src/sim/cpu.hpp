@@ -8,7 +8,6 @@
 // the loaded Planet-Lab regime with a single mechanism.
 #pragma once
 
-#include <functional>
 #include <string>
 
 #include "sim/event_loop.hpp"
@@ -40,7 +39,7 @@ class CpuScheduler {
   /// Enqueue `cost` worth of CPU work; `done` fires when it completes.
   /// Work is FIFO-serialized: a busy CPU delays subsequent packets, which
   /// is exactly the queueing effect seen at loaded overlay routers.
-  void run(Duration cost, std::function<void()> done);
+  void run(Duration cost, EventLoop::Callback done);
 
   /// Total CPU time consumed (after load scaling).
   Duration busy_total() const { return busy_total_; }

@@ -22,22 +22,44 @@
 // paper-table benches, churn tests and the cross-shard digest test rely
 // on.
 //
-// Layout is sized for 10^4..10^5-node runs: the callback lives inside the
-// heap item (one allocation-free slot per event instead of a side map
-// entry each), liveness is a generation-stamped slot vector (O(1) array
-// indexing per cancel/pop, no hashing), and cancellation is lazy with
-// compaction — a churning overlay cancels far-future keepalive/renew
-// timers constantly, and without compaction those dead slots would
-// dominate the heap.
+// Layout is sized for 10^4..10^5-node runs and for an allocation-free
+// hot path:
+//
+//   * Key heap.  The binary heap holds only 32-byte trivially-copyable
+//     keys {at, key0, key1, slot, gen}, so a sift moves 32 bytes and never
+//     touches a closure.  run_until/run_window peek the top key and stop
+//     there; an event past the horizon is never popped.
+//   * Slot arena.  Each pending event's Callback and trace `aux` live in
+//     a slot of a chunked arena addressed by the key's `slot`.  Chunks
+//     never move, so growing the arena copies nothing.  A freed slot
+//     bumps its generation, which makes every outstanding key and
+//     EventId for it dead in O(1) (no hashing), and goes on a LIFO free
+//     list so the next event reuses cache-hot storage.
+//   * Callback storage.  Callback (sim/callback.hpp) keeps closures of up
+//     to 80 bytes in place — a link delivery, a stack traversal step, a
+//     switch forward — so those events allocate nothing; a larger closure
+//     costs one heap block.  A slot is 96 bytes and a key 32: 128 bytes
+//     per pending event, where the former heap item (72 bytes, closure
+//     inside) also needed a malloc'd block for any closure over 16 bytes.
+//     The loop moves a callback out of its slot and frees the slot before
+//     invoking it: the running event is already dead to cancel(), and
+//     whatever it schedules may reuse the slot at once.
+//   * Cancellation.  cancel() frees the slot and destroys the closure at
+//     once — captured Buffers and shared_ptrs are released at cancel(),
+//     after the loop's bookkeeping is consistent, since their destructors
+//     may re-enter cancel().  The key stays in the heap as dead debris and
+//     is dropped lazily at the top or by compaction once dead keys
+//     outnumber live ones: a churning overlay cancels far-future
+//     keepalive/renew timers constantly.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
-#include <limits>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
+#include "sim/callback.hpp"
 #include "util/time.hpp"
 
 namespace ipop::sim {
@@ -47,7 +69,7 @@ using util::TimePoint;
 
 class EventLoop {
  public:
-  using Callback = std::function<void()>;
+  using Callback = sim::Callback;
   /// (slot << 32) | generation.  0 is never a valid id (generations start
   /// at 1), so callers can use 0 as a "no timer armed" sentinel.
   using EventId = std::uint64_t;
@@ -59,6 +81,9 @@ class EventLoop {
   };
 
   EventLoop() = default;
+  /// Destroys pending closures while the loop is still consistent, so a
+  /// closure's destructor may cancel() other events on this loop.
+  ~EventLoop();
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
@@ -130,66 +155,69 @@ class EventLoop {
   }
 
  private:
-  struct Item {
+  /// Heap entry: the canonical sort key plus the arena slot it refers to.
+  /// Trivially copyable, so sifts move 32 bytes and no closure.
+  struct Key {
     TimePoint at;
     std::uint64_t key0;  // 0 = timer; stream id + 1 = delivery
     std::uint64_t key1;  // timer: loop-local seq; delivery: stream seq
-    EventId id;          // 0 for deliveries (not cancellable)
-    std::uint32_t aux;
-    Callback cb;
+    std::uint32_t slot;
+    std::uint32_t gen;   // dead once the slot's generation moved on
     // Heap is a max-heap; invert so the canonical order pops first.
-    bool operator<(const Item& o) const {
+    bool operator<(const Key& o) const {
       if (at != o.at) return at > o.at;
       if (key0 != o.key0) return key0 > o.key0;
       return key1 > o.key1;
     }
   };
+  static_assert(sizeof(Key) == 32);
 
-  /// One liveness slot per outstanding timer.  The generation stamp makes
-  /// stale EventIds (and lazily-dead heap entries) O(1) detectable after
-  /// the slot is reused.
+  /// Arena slot of one pending event.  The generation counts the slot's
+  /// tenants; it starts at 1 and skips 0, so EventId 0 is never live.
   struct Slot {
+    Callback cb;
     std::uint32_t gen = 1;
-    bool live = false;
+    std::uint32_t aux = 0;  // deliveries: trace-digest discriminator
   };
+  static_assert(sizeof(Slot) == 96);
+  static constexpr std::size_t kChunkSlots = 64;
 
-  bool item_live(const Item& it) const {
-    if (it.id == 0) return true;  // deliveries are never cancelled
-    return slot_live(it.id);
+  Slot& slot(std::uint32_t i) {
+    return chunks_[i / kChunkSlots][i % kChunkSlots];
   }
-  bool slot_live(EventId id) const {
-    const std::size_t slot = id >> 32;
-    const auto gen = static_cast<std::uint32_t>(id);
-    return slot < slots_.size() && slots_[slot].gen == gen &&
-           slots_[slot].live;
-  }
-  /// Free a timer's slot once it has executed (or been cancelled).
-  /// Bumping the generation invalidates every outstanding copy of the id.
-  void release_slot(EventId id) {
-    const std::size_t slot = id >> 32;
-    slots_[slot].live = false;
-    ++slots_[slot].gen;
-    free_slots_.push_back(static_cast<std::uint32_t>(slot));
+  bool live(const Key& k) { return slot(k.slot).gen == k.gen; }
+  /// Store a new event's callback; returns its slot index.
+  std::uint32_t acquire_slot(Callback&& cb, std::uint32_t aux);
+  /// Retire a slot whose callback was moved out or destroyed: bumping the
+  /// generation kills every outstanding key and EventId for it.
+  void release_slot(std::uint32_t i) {
+    Slot& s = slot(i);
+    if (++s.gen == 0) s.gen = 1;
+    free_slots_.push_back(i);
   }
 
   TimePoint clamp_to_now(TimePoint t);
-  void push_item(Item item);
-  bool pop_next(Item& out);
-  void restore(Item item);
-  void execute(Item& item);
+  void push_key(const Key& k);
+  void pop_key();
+  /// Drop cancelled debris from the heap top; false when the heap is empty.
+  bool prune_top();
+  template <typename Due>
+  std::size_t run_while(Due due);
+  void execute(const Key& k);
   void maybe_compact();
 
   TimePoint now_{};
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   std::uint64_t clamped_ = 0;
-  std::size_t pending_ = 0;  // live items currently in heap_
+  std::size_t pending_ = 0;  // live keys currently in heap_
   bool stopped_ = false;
   bool tracing_ = false;
   // Binary heap via push_heap/pop_heap (priority_queue would hide the
   // storage needed for compaction).
-  std::vector<Item> heap_;
-  std::vector<Slot> slots_;
+  std::vector<Key> heap_;
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::uint32_t slots_used_ = 0;  // high-water slot count
   std::vector<std::uint32_t> free_slots_;
   std::unordered_map<std::uint64_t, TraceStream> trace_;
 };

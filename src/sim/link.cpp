@@ -25,6 +25,8 @@ Link::Link(EventLoop& loop, const LinkConfig& a_to_b, const LinkConfig& b_to_a,
     d.src_loop = &loop;
     d.dst_loop = &loop;
   }
+  dir_[0].dst = &b_;
+  dir_[1].dst = &a_;
   a_.link_ = this;
   a_.is_a_ = true;
   b_.link_ = this;
@@ -48,7 +50,6 @@ void Link::bind(EventLoop& loop_a, EventLoop& loop_b, Channel* a_to_b,
 
 void Link::transmit(bool from_a, Frame frame) {
   Direction& d = dir_[from_a ? 0 : 1];
-  LinkEnd& dst = from_a ? b_ : a_;
   ++d.frames_sent;
 
   if (!up_) {
@@ -89,25 +90,25 @@ void Link::transmit(bool from_a, Frame frame) {
         d.rng.uniform(0, static_cast<double>(d.cfg.jitter.count())))};
   }
   const TimePoint deliver_at = tx_done + d.cfg.delay + jitter;
-  const std::size_t frame_size = frame.size();
+  const auto aux = static_cast<std::uint32_t>(frame.size());
 
   // The delivery closure touches only receiver-shard state; the sender's
   // counters above were already settled on this thread.
-  auto deliver = [alive = alive_.guard(), &d, &dst, frame = std::move(frame),
-                  frame_size]() mutable {
+  auto deliver = [alive = alive_.guard(), &d,
+                  frame = std::move(frame)]() mutable {
     if (!alive) return;
     ++d.rx_frames_delivered;
-    d.rx_bytes_delivered += frame_size;
-    if (dst.receiver_) dst.receiver_(std::move(frame));
+    d.rx_bytes_delivered += frame.size();
+    if (d.dst->receiver_) d.dst->receiver_(std::move(frame));
   };
+  // One delivery per frame on every link: keep it off the heap.
+  static_assert(Callback::kStoredInline<decltype(deliver)>);
 
   if (d.channel != nullptr) {
-    d.channel->push(StampedEvent{deliver_at, d.stream, d.seq++,
-                                 static_cast<std::uint32_t>(frame_size),
-                                 std::move(deliver)});
+    d.channel->push(
+        StampedEvent{deliver_at, d.stream, d.seq++, aux, std::move(deliver)});
   } else if (d.stream != kNoStream) {
-    d.dst_loop->schedule_delivery(deliver_at, d.stream, d.seq++,
-                                  static_cast<std::uint32_t>(frame_size),
+    d.dst_loop->schedule_delivery(deliver_at, d.stream, d.seq++, aux,
                                   std::move(deliver));
   } else {
     // Untagged (unit-test / intra-host) link: plain loop-local event.

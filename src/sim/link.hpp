@@ -132,6 +132,7 @@ class Link {
     // --- receiver-shard state (touched only on dst_loop's thread) ------
     std::uint64_t rx_frames_delivered = 0;
     std::uint64_t rx_bytes_delivered = 0;
+    LinkEnd* dst = nullptr;  // the receiving end
     EventLoop* dst_loop = nullptr;
     Channel* channel = nullptr;  // non-null when the direction crosses
   };

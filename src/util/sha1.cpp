@@ -50,16 +50,16 @@ void Sha1::update(std::span<const std::uint8_t> data) {
 
 Sha1Digest Sha1::finish() {
   const std::uint64_t bit_len = total_bytes_ * 8;
-  // Padding: 0x80 then zeros until 56 mod 64, then 64-bit length.
-  const std::uint8_t pad80 = 0x80;
-  update(std::span<const std::uint8_t>(&pad80, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) update(std::span<const std::uint8_t>(&zero, 1));
-  std::array<std::uint8_t, 8> len{};
+  // Padding: 0x80, zeros up to 56 mod 64, then the 64-bit big-endian
+  // length — appended with one update() call.
+  std::array<std::uint8_t, 72> pad{};
+  pad[0] = 0x80;
+  const std::size_t zeros = (buffered_ < 56 ? 55 : 119) - buffered_;
   for (int i = 0; i < 8; ++i) {
-    len[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    pad[1 + zeros + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  update(std::span<const std::uint8_t>(len.data(), len.size()));
+  update(std::span<const std::uint8_t>(pad.data(), 1 + zeros + 8));
 
   Sha1Digest out{};
   for (int i = 0; i < 5; ++i) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "brunet/dht.hpp"
 #include "brunet/node.hpp"
@@ -86,6 +87,92 @@ TEST(AddressTest, OffsetByPow2) {
   EXPECT_EQ(one_shifted.bytes()[Address::kBytes - 1], 1);
   Address big = zero.offset_by_pow2(159);
   EXPECT_EQ(big.bytes()[0], 0x80);
+}
+
+// Byte-at-a-time reference for the word-wise ring arithmetic.
+Address::Bytes ref_sub(const Address::Bytes& a, const Address::Bytes& b) {
+  Address::Bytes out{};
+  int borrow = 0;
+  for (int i = Address::kBytes - 1; i >= 0; --i) {
+    const int v = int{a[i]} - int{b[i]} - borrow;
+    borrow = v < 0 ? 1 : 0;
+    out[i] = static_cast<std::uint8_t>(v & 0xFF);
+  }
+  return out;
+}
+Address::Bytes ref_add(const Address::Bytes& a, const Address::Bytes& b) {
+  Address::Bytes out{};
+  int carry = 0;
+  for (int i = Address::kBytes - 1; i >= 0; --i) {
+    const int v = int{a[i]} + int{b[i]} + carry;
+    carry = v > 0xFF ? 1 : 0;
+    out[i] = static_cast<std::uint8_t>(v & 0xFF);
+  }
+  return out;
+}
+int ref_compare(const Address::Bytes& a, const Address::Bytes& b) {
+  for (std::size_t i = 0; i < Address::kBytes; ++i) {
+    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
+  }
+  return 0;
+}
+
+Address::Bytes ref_ring(const Address::Bytes& a, const Address::Bytes& b) {
+  const Address::Bytes d1 = ref_sub(b, a), d2 = ref_sub(a, b);
+  return ref_compare(d1, d2) <= 0 ? d1 : d2;
+}
+
+TEST(AddressTest, WordArithmeticMatchesByteReference) {
+  // Edge values put borrows and carries on every word boundary (bytes
+  // 7|8 and 15|16) and across the 2^160 wrap; random pairs with shared
+  // prefixes exercise the equal-word paths of compare and borrow.
+  std::vector<Address::Bytes> values;
+  Address::Bytes v{};
+  values.push_back(v);  // 0
+  v.fill(0xFF);
+  values.push_back(v);  // 2^160 - 1
+  for (std::size_t edge : {7u, 8u, 15u, 16u, 19u}) {
+    Address::Bytes e{};
+    e[edge] = 1;  // a single bit just above/below a word boundary
+    values.push_back(e);
+    Address::Bytes f{};
+    for (std::size_t i = edge; i < Address::kBytes; ++i) f[i] = 0xFF;
+    values.push_back(f);  // a run of ones that carries into the next word
+  }
+  util::Rng rng(0x5EED);
+  for (int i = 0; i < 400; ++i) {
+    Address::Bytes r = Address::random(rng).bytes();
+    values.push_back(r);
+    // A neighbour sharing a random-length prefix with r.
+    const auto keep = static_cast<std::size_t>(rng.uniform_int(0, 20));
+    Address::Bytes s = Address::random(rng).bytes();
+    std::copy_n(r.begin(), keep, s.begin());
+    values.push_back(s);
+  }
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    // Every value against itself, its neighbour and a few others.
+    for (std::size_t j : {i, i ^ 1, (i * 7 + 3) % values.size(),
+                          (i * 13 + 5) % values.size()}) {
+      if (j >= values.size()) continue;
+      const Address::Bytes& a = values[i];
+      const Address::Bytes& b = values[j];
+      const Address x(a), y(b);
+      ASSERT_EQ(Address::directed_distance(y, x), ref_sub(a, b));
+      ASSERT_EQ(x.offset_by(b).bytes(), ref_add(a, b));
+      ASSERT_EQ(compare_bytes(a, b), ref_compare(a, b));
+      ASSERT_EQ(x <=> y, ref_compare(a, b) <=> 0);
+      ASSERT_EQ(Address::ring_distance(x, y), ref_ring(a, b));
+      // Three-address predicates, with a third value from the pool.
+      const Address::Bytes& c = values[(i + j + 1) % values.size()];
+      const Address z(c);
+      ASSERT_EQ(Address::closer(x, y, z),
+                ref_compare(ref_ring(a, b), ref_ring(a, c)) < 0);
+      const Address::Bytes ay = ref_sub(b, a), az = ref_sub(c, a);
+      ASSERT_EQ(Address::in_range_right(x, y, z),
+                ref_compare(ay, Address::Bytes{}) != 0 &&
+                    ref_compare(ay, az) <= 0);
+    }
+  }
 }
 
 // --- Packet codec -------------------------------------------------------------

@@ -1,7 +1,10 @@
 // Unit tests for src/sim: event loop, CPU scheduler, link, switch.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "sim/cpu.hpp"
@@ -238,6 +241,176 @@ TEST(EventLoopTest, QueueDepthBoundedUnderCancelHeavyLoad) {
   EXPECT_LE(max_depth, 2 * static_cast<std::size_t>(kNodes) + 64);
   loop.run();
   EXPECT_EQ(loop.queue_depth(), 0u);
+}
+
+// Seeded random mix of timers, deliveries and cancels, checked online
+// against a sorted reference model of the ordering contract: every event
+// that runs must be the smallest live (at, key0, key1) key.  Callbacks
+// schedule and cancel too, and one of them schedules a burst big enough
+// to grow the slot arena while it is itself running.
+class OrderingModel {
+ public:
+  static constexpr int kEvents = 20000;
+  static constexpr int kBurst = 600;  // > one arena chunk of slots
+
+  void seed_events(int n) {
+    for (int i = 0; i < n; ++i) schedule_one();
+  }
+  EventLoop& loop() { return loop_; }
+  int ran() const { return ran_; }
+  int out_of_order() const { return out_of_order_; }
+  int scheduled() const { return next_tag_; }
+  bool model_empty() const { return live_.empty(); }
+
+ private:
+  using Key = std::tuple<TimePoint, std::uint64_t, std::uint64_t>;
+
+  void schedule_one() {
+    if (next_tag_ >= kEvents) return;
+    const int tag = next_tag_++;
+    // A narrow time range so timestamps tie often.
+    const TimePoint at = loop_.now() + microseconds(rng_.uniform_int(0, 40));
+    if (rng_.chance(0.5)) {
+      const Key k{at, 0, timer_seq_++};
+      const auto id = loop_.schedule_at(at, [this, tag] { fire(tag); });
+      live_.emplace(k, tag);
+      timers_.emplace(tag, std::pair{id, k});
+    } else {
+      const auto s = static_cast<std::size_t>(rng_.uniform_int(0, 3));
+      const Key k{at, s + 1, stream_seq_[s]};
+      loop_.schedule_delivery(at, s, stream_seq_[s]++, 0,
+                              [this, tag] { fire(tag); });
+      live_.emplace(k, tag);
+    }
+  }
+
+  void cancel_one() {
+    if (timers_.empty()) return;
+    auto it = timers_.begin();
+    std::advance(it, rng_.uniform_int(
+                         0, static_cast<std::int64_t>(timers_.size()) - 1));
+    loop_.cancel(it->second.first);
+    live_.erase(it->second.second);
+    timers_.erase(it);
+  }
+
+  void fire(int tag) {
+    ++ran_;
+    if (live_.empty() || live_.begin()->second != tag) {
+      ++out_of_order_;
+    } else {
+      live_.erase(live_.begin());
+    }
+    timers_.erase(tag);
+    if (tag == 10) {
+      for (int i = 0; i < kBurst; ++i) schedule_one();
+    }
+    const auto n = rng_.uniform_int(0, 3);  // mean 1.5: the mix grows
+    for (std::int64_t i = 0; i < n; ++i) schedule_one();
+    if (rng_.chance(0.3)) cancel_one();
+  }
+
+  EventLoop loop_;
+  util::Rng rng_{0x0D3E7};
+  std::map<Key, int> live_;  // the reference model, in canonical order
+  std::map<int, std::pair<EventLoop::EventId, Key>> timers_;
+  std::uint64_t timer_seq_ = 0;
+  std::array<std::uint64_t, 4> stream_seq_{};
+  int next_tag_ = 0;
+  int ran_ = 0;
+  int out_of_order_ = 0;
+};
+
+TEST(EventLoopTest, RandomMixRunsInCanonicalKeyOrder) {
+  OrderingModel m;
+  m.seed_events(64);
+  m.loop().run();
+  EXPECT_EQ(m.scheduled(), OrderingModel::kEvents);
+  EXPECT_EQ(m.out_of_order(), 0);
+  EXPECT_TRUE(m.model_empty());
+  EXPECT_EQ(m.loop().pending(), 0u);
+  EXPECT_GT(m.ran(), OrderingModel::kEvents / 2);  // cancels took the rest
+}
+
+TEST(EventLoopTest, CallbacksAcceptMoveOnlyCaptures) {
+  EventLoop loop;
+  int got = 0;
+  auto p = std::make_unique<int>(42);
+  loop.schedule_after(milliseconds(1), [p = std::move(p), &got] { got = *p; });
+  loop.run();
+  EXPECT_EQ(got, 42);
+}
+
+TEST(EventLoopTest, OversizeClosuresFallBackToTheHeap) {
+  // A link-delivery-sized closure stays inline; a larger one moves to one
+  // heap block and must still move, run and destroy exactly once.
+  std::array<std::uint8_t, Callback::kInlineBytes> fits{};
+  auto small = [fits] { (void)fits; };
+  static_assert(Callback::kStoredInline<decltype(small)>);
+
+  auto owner = std::make_shared<int>(0);
+  std::array<std::uint8_t, 200> big{};
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<std::uint8_t>(i);
+  }
+  int sum = 0;
+  auto large = [big, owner, &sum] {
+    for (auto b : big) sum += b;
+  };
+  static_assert(!Callback::kStoredInline<decltype(large)>);
+  Callback cb(std::move(large));
+  EXPECT_EQ(owner.use_count(), 2);
+  Callback moved = std::move(cb);
+  EXPECT_FALSE(cb);  // NOLINT(bugprone-use-after-move): moved-from is empty
+  EXPECT_EQ(owner.use_count(), 2);
+
+  EventLoop loop;
+  loop.schedule_after(milliseconds(1), std::move(moved));
+  loop.run();
+  EXPECT_EQ(sum, 199 * 200 / 2);
+  EXPECT_EQ(owner.use_count(), 1);  // closure destroyed after it ran
+}
+
+TEST(EventLoopTest, CancelReleasesCapturesImmediately) {
+  EventLoop loop;
+  auto small = std::make_shared<int>(1);
+  auto large = std::make_shared<int>(2);
+  std::weak_ptr<int> small_w = small, large_w = large;
+  std::array<std::uint8_t, 200> pad{};
+  const auto a = loop.schedule_after(milliseconds(5),
+                                     [s = std::move(small)] { (void)s; });
+  const auto b = loop.schedule_after(
+      milliseconds(5), [l = std::move(large), pad] { (void)l, (void)pad; });
+  EXPECT_FALSE(small_w.expired());
+  loop.cancel(a);
+  loop.cancel(b);
+  // Released at cancel(), not when the dead key is popped or compacted.
+  EXPECT_TRUE(small_w.expired());
+  EXPECT_TRUE(large_w.expired());
+  EXPECT_EQ(loop.pending(), 0u);
+}
+
+TEST(EventLoopTest, ClosureDestructorMayCancelOtherEvents) {
+  // cancel() destroys the closure after the loop's bookkeeping is
+  // consistent, so a captured object whose destructor cancels another
+  // event re-enters cancel() safely.
+  struct CancelOnDestroy {
+    EventLoop* loop;
+    EventLoop::EventId other;
+    ~CancelOnDestroy() { loop->cancel(other); }
+  };
+  EventLoop loop;
+  bool ran = false;
+  const auto victim = loop.schedule_after(milliseconds(2), [&] { ran = true; });
+  const auto first = loop.schedule_after(
+      milliseconds(1),
+      [c = std::make_unique<CancelOnDestroy>(CancelOnDestroy{&loop, victim})] {
+        (void)c;
+      });
+  loop.cancel(first);
+  EXPECT_EQ(loop.pending(), 0u);
+  EXPECT_EQ(loop.run(), 0u);
+  EXPECT_FALSE(ran);
 }
 
 // --- CpuScheduler --------------------------------------------------------------

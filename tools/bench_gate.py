@@ -13,8 +13,9 @@ scale suite uses this to see the --shards 1 and --shards 4 soak legs
 Suites:
   micro  (default) — bench_micro_core output: the zero-copy invariants
          (bytes_copied_* = 0, and the sealed tunnel path's
-         payload_bytes_copied = 0 on both seal and open), the sendmmsg
-         amortization (datagrams_per_syscall) against the committed
+         payload_bytes_copied = 0 on both seal and open), the event
+         engine's allocation-free delivery (allocs_per_event = 0), the
+         sendmmsg amortization (datagrams_per_syscall) against the committed
          BENCH_micro_core.json, and the per-packet crypto cost bound
          (full-MTU seal/open at most 2x a 64-byte frame — crypto cost
          is per packet, not per byte).
@@ -85,6 +86,11 @@ SUITES = {
             (r"^BM_SealInPlace/", "payload_bytes_copied"),
             (r"^BM_OpenInPlace/", "payload_bytes_copied"),
             (r"^BM_OpenInPlace/", "frames_rejected"),
+            # The event engine's hot path: a link-delivery-shaped
+            # closure (80 bytes) is stored inline in the slot arena and
+            # the key heap and arena are recycled, so a steady-state
+            # event allocates nothing.
+            (r"^BM_EventLoopDeliver$", "allocs_per_event"),
         ],
         # (name regex, counter, absolute floor): fresh must be >= floor.
         "floor": [
