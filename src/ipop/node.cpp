@@ -213,12 +213,9 @@ void IpopNode::process_captured(util::Buffer frame) {
         reply.sender_ip = req.target_ip;
         reply.target_mac = req.sender_mac;
         reply.target_ip = req.sender_ip;
-        net::EthernetFrame out;
-        out.dst = req.sender_mac;
-        out.src = tap_->gateway_mac();
-        out.type = net::EtherType::kArp;
-        out.payload = reply.encode();
-        tap_->write_frame(util::Buffer::wrap(out.encode()));
+        tap_->write_frame(net::frame_onto(util::Buffer::wrap(reply.encode()),
+                                          req.sender_mac, tap_->gateway_mac(),
+                                          net::EtherType::kArp));
       } catch (const util::ParseError&) {
       }
       return;
@@ -245,7 +242,7 @@ void IpopNode::process_captured(util::Buffer frame) {
   // bytes become headroom) and trim link padding; the Brunet header is
   // later prepended into that headroom by Packet::to_wire().
   const std::size_t ip_len = net::Ipv4Header::kSize + ip.payload.size();
-  frame.drop_front(net::EthernetFrame::kHeaderSize);
+  frame.drop_front(net::EthernetView::kHeaderSize);
   frame.drop_back(frame.size() - ip_len);
   tunnel(ip.hdr.dst, std::move(frame));
 }

@@ -34,22 +34,6 @@ void write_header(std::uint8_t* out, const MacAddress& dst,
 }
 }  // namespace
 
-std::vector<std::uint8_t> EthernetFrame::encode() const {
-  std::vector<std::uint8_t> out(kHeaderSize + payload.size());
-  write_header(out.data(), dst, src, type);
-  // lint:allow(zero-copy): legacy vector codec kept for tests; the data plane uses Buffer frames
-  std::copy(payload.begin(), payload.end(), out.begin() + kHeaderSize);
-  return out;
-}
-
-util::Buffer EthernetFrame::encode_buffer(std::size_t headroom) const {
-  auto frame = util::Buffer::allocate(kHeaderSize + payload.size(), headroom);
-  write_header(frame.data(), dst, src, type);
-  // lint:allow(zero-copy): struct-form serializer (control frames); hot path prepends into headroom
-  std::copy(payload.begin(), payload.end(), frame.data() + kHeaderSize);
-  return frame;
-}
-
 EthernetView EthernetView::parse(util::BufferView frame) {
   util::ByteReader r(frame);
   EthernetView v;
@@ -62,20 +46,9 @@ EthernetView EthernetView::parse(util::BufferView frame) {
   return v;
 }
 
-EthernetFrame EthernetFrame::decode(util::BufferView bytes) {
-  EthernetView v = EthernetView::parse(bytes);
-  EthernetFrame f;
-  f.dst = v.dst;
-  f.src = v.src;
-  f.type = v.type;
-  // lint:allow(zero-copy): legacy struct decode kept for tests; the data plane parses views
-  f.payload = v.payload.to_vector();
-  return f;
-}
-
 util::Buffer frame_onto(util::Buffer payload, const MacAddress& dst,
                         const MacAddress& src, EtherType type) {
-  auto slot = payload.grow_front(EthernetFrame::kHeaderSize);
+  auto slot = payload.grow_front(EthernetView::kHeaderSize);
   write_header(slot.data(), dst, src, type);
   return payload;
 }

@@ -2,15 +2,14 @@
 //
 // IPOP operates on layer-2 frames: the kernel writes Ethernet frames to the
 // tap device, IPOP extracts the IP payload and contains ARP locally (paper
-// Section III-A).  This header provides the frame codec shared by the host
-// stack, the switch-facing NICs and the tap glue.
+// Section III-A).  The host stack, the switch-facing NICs and the tap glue
+// share one wire codec: EthernetView parses a frame in place and
+// frame_onto prepends the header into a buffer's headroom.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "util/buffer.hpp"
 #include "util/bytes.hpp"
@@ -39,29 +38,14 @@ enum class EtherType : std::uint16_t {
   kArp = 0x0806,
 };
 
-struct EthernetFrame {
-  MacAddress dst;
-  MacAddress src;
-  EtherType type = EtherType::kIpv4;
-  std::vector<std::uint8_t> payload;
-
-  static constexpr std::size_t kHeaderSize = 14;
-
-  std::vector<std::uint8_t> encode() const;
-  /// Encode into a shared buffer with `headroom` spare bytes in front, so
-  /// downstream consumers (IPOP's tap capture) can strip this header and
-  /// prepend tunnel headers without copying the payload.
-  util::Buffer encode_buffer(std::size_t headroom) const;
-  /// Throws util::ParseError on truncated input.
-  static EthernetFrame decode(util::BufferView bytes);
-};
-
 /// Zero-copy parsed Ethernet header: `payload` aliases the input view.
 struct EthernetView {
   MacAddress dst;
   MacAddress src;
   EtherType type = EtherType::kIpv4;
   util::BufferView payload;
+
+  static constexpr std::size_t kHeaderSize = 14;
 
   /// Throws util::ParseError on truncated input.
   static EthernetView parse(util::BufferView frame);

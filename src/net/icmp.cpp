@@ -1,28 +1,19 @@
 #include "net/icmp.hpp"
 
-#include <algorithm>
-
 namespace ipop::net {
 
-util::Buffer IcmpMessage::encode_buffer(std::size_t headroom) const {
-  auto buf =
-      util::Buffer::allocate(IcmpView::kHeaderSize + payload.size(), headroom);
-  std::uint8_t* p = buf.data();
+util::Buffer icmp_onto(util::Buffer body, IcmpType type, std::uint8_t code,
+                       std::uint16_t id, std::uint16_t seq) {
+  auto slot = body.grow_front(IcmpView::kHeaderSize);
+  std::uint8_t* p = slot.data();
   p[IcmpView::kTypeOffset] = static_cast<std::uint8_t>(type);
   p[IcmpView::kCodeOffset] = code;
   util::store_u16(p + IcmpView::kChecksumOffset, 0);  // placeholder
   util::store_u16(p + IcmpView::kIdOffset, id);
   util::store_u16(p + IcmpView::kSeqOffset, seq);
-  // lint:allow(zero-copy): ICMP is control plane — echo payloads are built fresh, not forwarded
-  std::copy(payload.begin(), payload.end(), p + IcmpView::kHeaderSize);
   util::store_u16(p + IcmpView::kChecksumOffset,
-                  internet_checksum(buf.as_span()));
-  return buf;
-}
-
-std::vector<std::uint8_t> IcmpMessage::encode() const {
-  // lint:allow(zero-copy): legacy vector codec kept for tests; the data plane uses encode_buffer
-  return encode_buffer(0).to_vector();
+                  internet_checksum(body.as_span()));
+  return body;
 }
 
 IcmpView IcmpView::parse_headers(util::BufferView bytes) {
@@ -42,18 +33,6 @@ IcmpView IcmpView::parse(util::BufferView bytes) {
     throw util::ParseError("bad ICMP checksum");
   }
   return parse_headers(bytes);
-}
-
-IcmpMessage IcmpMessage::decode(util::BufferView bytes) {
-  IcmpView v = IcmpView::parse(bytes);
-  IcmpMessage m;
-  m.type = v.type;
-  m.code = v.code;
-  m.id = v.id;
-  m.seq = v.seq;
-  // lint:allow(zero-copy): legacy struct decode kept for tests; the data plane parses views
-  m.payload = v.payload.to_vector();
-  return m;
 }
 
 }  // namespace ipop::net

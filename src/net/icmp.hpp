@@ -2,12 +2,11 @@
 //
 // The paper's Table I and Figure 5 are built from ICMP round-trip times
 // ("ping"), so echo handling is a first-class citizen of the simulated
-// kernel stack.
+// kernel stack.  One wire representation: IcmpView parses a message in
+// place and icmp_onto prepends the header into a body's headroom.
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "net/ipv4.hpp"
 
@@ -20,32 +19,6 @@ enum class IcmpType : std::uint8_t {
   kTimeExceeded = 11,
 };
 
-struct IcmpMessage {
-  IcmpType type = IcmpType::kEchoRequest;
-  std::uint8_t code = 0;
-  /// Echo identifier / sequence.  For error messages `id` is unused and
-  /// `seq` (the second header word's low 16 bits) carries the error's
-  /// auxiliary info — the RFC 1191 next-hop MTU for frag-needed.
-  std::uint16_t id = 0;
-  std::uint16_t seq = 0;
-  /// Echo payload, or the original IP header + 8 bytes for errors.
-  std::vector<std::uint8_t> payload;
-
-  std::vector<std::uint8_t> encode() const;
-  /// Encode into a shared buffer with `headroom` spare front bytes so the
-  /// IP and Ethernet headers prepend downstream without copying.
-  util::Buffer encode_buffer(std::size_t headroom) const;
-  /// Throws util::ParseError on truncation or bad checksum.
-  static IcmpMessage decode(util::BufferView bytes);
-
-  bool is_echo() const {
-    return type == IcmpType::kEchoRequest || type == IcmpType::kEchoReply;
-  }
-  bool is_error() const {
-    return type == IcmpType::kDestUnreachable || type == IcmpType::kTimeExceeded;
-  }
-};
-
 /// Zero-copy parsed ICMP message: `payload` aliases the input view.  Lets
 /// middleboxes (NAT, firewall) peek at echo ids without owning copies.
 /// Field offsets are exposed for in-place patching (NAT id rewrite, the
@@ -53,8 +26,11 @@ struct IcmpMessage {
 struct IcmpView {
   IcmpType type = IcmpType::kEchoRequest;
   std::uint8_t code = 0;
+  /// Echo identifier / sequence.  For error messages `id` is unused and
+  /// `seq` carries the error's auxiliary info (see icmp_onto).
   std::uint16_t id = 0;
   std::uint16_t seq = 0;
+  /// Echo payload, or the original IP header + 8 bytes for errors.
   util::BufferView payload;
 
   static constexpr std::size_t kTypeOffset = 0;
@@ -81,5 +57,15 @@ struct IcmpView {
     return type == IcmpType::kDestUnreachable || type == IcmpType::kTimeExceeded;
   }
 };
+
+/// Make `body` (echo payload, or the quoted original IP header + 8 bytes
+/// for errors) an ICMP message: the 8-byte header is prepended into the
+/// buffer's headroom — in place when the storage is uniquely owned and
+/// roomy, one reallocation otherwise — and the checksum is summed over
+/// header and body.  `seq` is the second header word's low 16 bits: the
+/// echo sequence, or an error's auxiliary info (the RFC 1191 next-hop MTU
+/// for frag-needed).
+util::Buffer icmp_onto(util::Buffer body, IcmpType type, std::uint8_t code,
+                       std::uint16_t id, std::uint16_t seq);
 
 }  // namespace ipop::net

@@ -1,6 +1,5 @@
 #include "net/ipv4.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <cstdio>
 
@@ -62,8 +61,12 @@ std::string Ipv4Prefix::to_string() const {
   return network.to_string() + "/" + std::to_string(length);
 }
 
-std::uint16_t internet_checksum(std::span<const std::uint8_t> data) {
-  std::uint32_t sum = 0;
+namespace {
+
+/// Add `data` to a one's-complement accumulator as big-endian 16-bit words
+/// (an odd trailing byte is padded with zero).  The single word-sum shared
+/// by internet_checksum and transport_checksum.
+std::uint32_t sum_words(std::uint32_t sum, std::span<const std::uint8_t> data) {
   std::size_t i = 0;
   for (; i + 1 < data.size(); i += 2) {
     sum += static_cast<std::uint32_t>(data[i] << 8) | data[i + 1];
@@ -71,21 +74,31 @@ std::uint16_t internet_checksum(std::span<const std::uint8_t> data) {
   if (i < data.size()) {
     sum += static_cast<std::uint32_t>(data[i] << 8);
   }
+  return sum;
+}
+
+std::uint16_t fold_complement(std::uint32_t sum) {
   while (sum >> 16) sum = (sum & 0xFFFF) + (sum >> 16);
   return static_cast<std::uint16_t>(~sum);
+}
+
+}  // namespace
+
+std::uint16_t internet_checksum(std::span<const std::uint8_t> data) {
+  return fold_complement(sum_words(0, data));
 }
 
 std::uint16_t transport_checksum(Ipv4Address src, Ipv4Address dst,
                                  IpProto proto,
                                  std::span<const std::uint8_t> segment) {
-  util::ByteWriter w(12 + segment.size());
-  w.u32(src.value);
-  w.u32(dst.value);
-  w.u8(0);
-  w.u8(static_cast<std::uint8_t>(proto));
-  w.u16(static_cast<std::uint16_t>(segment.size()));
-  w.bytes(segment);
-  return internet_checksum(w.data());
+  // Pseudo-header (src, dst, zero|proto, length) as 16-bit words.  Its
+  // length is even, so summing it apart leaves the segment's word
+  // alignment, and therefore the checksum, unchanged.
+  std::uint32_t sum = (src.value >> 16) + (src.value & 0xFFFF) +
+                      (dst.value >> 16) + (dst.value & 0xFFFF) +
+                      static_cast<std::uint8_t>(proto) +
+                      static_cast<std::uint16_t>(segment.size());
+  return fold_complement(sum_words(sum, segment));
 }
 
 std::uint16_t checksum_update(std::uint16_t csum, std::uint16_t old_word,
@@ -112,15 +125,6 @@ void Ipv4Packet::encode_header(std::uint8_t* out, const Ipv4Header& hdr,
   util::store_u32(out + 16, hdr.dst.value);
   util::store_u16(out + 10, internet_checksum(std::span<const std::uint8_t>(
                                 out, Ipv4Header::kSize)));
-}
-
-std::vector<std::uint8_t> Ipv4Packet::encode() const {
-  std::vector<std::uint8_t> bytes(total_length());
-  encode_header(bytes.data(), hdr, total_length());
-  // lint:allow(zero-copy): legacy vector codec kept for tests; the data plane uses take_wire()
-  std::copy(payload.begin(), payload.end(),
-            bytes.begin() + Ipv4Header::kSize);
-  return bytes;
 }
 
 util::Buffer Ipv4Packet::take_wire() {
@@ -159,15 +163,6 @@ Ipv4View Ipv4View::parse(util::BufferView bytes) {
     throw util::ParseError("bad IPv4 header checksum");
   }
   p.payload = r.view_bytes(total_len - Ipv4Header::kSize);
-  return p;
-}
-
-Ipv4Packet Ipv4Packet::decode(util::BufferView bytes) {
-  Ipv4View v = Ipv4View::parse(bytes);
-  Ipv4Packet p;
-  p.hdr = v.hdr;
-  // lint:allow(zero-copy): span-entry API edge — receive path adopts the frame via decode(Buffer) instead
-  p.payload = util::Buffer::copy_of(v.payload, util::kPacketHeadroom);
   return p;
 }
 

@@ -3,7 +3,9 @@
 // IPOP tunnels complete IPv4 packets through the overlay (paper Figure 3):
 // the encapsulated payload is exactly the bytes this codec produces.  The
 // same codec drives the simulated kernel stacks, routers, NATs and
-// firewalls of the physical substrate.
+// firewalls of the physical substrate.  One wire representation:
+// Ipv4View parses a packet in place, Ipv4Packet::decode adopts a received
+// buffer, and take_wire() writes the header into the payload's headroom.
 #pragma once
 
 #include <cstdint>
@@ -11,7 +13,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "util/buffer.hpp"
 #include "util/bytes.hpp"
@@ -84,13 +85,10 @@ struct Ipv4Packet {
 
   std::size_t total_length() const { return Ipv4Header::kSize + payload.size(); }
 
-  /// Owning serialization with computed header checksum (tests,
-  /// compatibility); leaves `payload` untouched.
-  std::vector<std::uint8_t> encode() const;
   /// Write the 20-byte header (with computed checksum) for a packet of
   /// `total_len` bytes into a pre-sized slot — the single definition of
-  /// the header wire format, shared by encode(), take_wire() and the
-  /// ICMP error path's truncated RFC 792 quote.
+  /// the header wire format, shared by take_wire() and the ICMP error
+  /// path's truncated RFC 792 quote.
   static void encode_header(std::uint8_t* out, const Ipv4Header& hdr,
                             std::size_t total_len);
   /// Consume `payload` and return the wire image: the 20-byte header is
@@ -104,11 +102,9 @@ struct Ipv4Packet {
     return payload.use_count() == 1 &&
            payload.headroom() >= Ipv4Header::kSize + link_headroom;
   }
-  /// Copying decode for non-owned input.  Throws util::ParseError on
-  /// malformed input or bad header checksum.
-  static Ipv4Packet decode(util::BufferView bytes);
   /// Zero-copy decode: adopts `bytes` as the payload's backing store (the
-  /// 20 header bytes and any link padding become head/tailroom).
+  /// 20 header bytes and any link padding become head/tailroom).  Throws
+  /// util::ParseError like Ipv4View::parse.
   static Ipv4Packet decode(util::Buffer bytes);
 };
 
@@ -121,7 +117,7 @@ struct Ipv4View {
   util::BufferView payload;
 
   /// Validates version/IHL/fragmentation/total-length/header checksum;
-  /// throws util::ParseError like Ipv4Packet::decode.
+  /// throws util::ParseError on malformed input.
   static Ipv4View parse(util::BufferView bytes);
 };
 
@@ -130,6 +126,8 @@ std::uint16_t internet_checksum(std::span<const std::uint8_t> data);
 
 /// Transport checksum with the IPv4 pseudo-header (used by TCP; UDP may
 /// legally use 0 = "no checksum" over IPv4, which the simulator does).
+/// The pseudo-header words are summed straight into the accumulator, so
+/// the segment is read in place, never staged.
 std::uint16_t transport_checksum(Ipv4Address src, Ipv4Address dst,
                                  IpProto proto,
                                  std::span<const std::uint8_t> segment);

@@ -1,5 +1,6 @@
 #include "net/ping.hpp"
 
+#include <algorithm>
 #include <map>
 
 #include "util/bytes.hpp"
@@ -12,7 +13,7 @@ std::uint16_t g_next_ping_id = 1;
 
 EchoReplyHandlerChain::EchoReplyHandlerChain(Stack& stack) {
   stack.set_echo_reply_handler(
-      [this](Ipv4Address /*src*/, const IcmpMessage& msg) {
+      [this](Ipv4Address /*src*/, const IcmpView& msg) {
         auto it = handlers_.find(msg.id);
         if (it != handlers_.end()) it->second(msg);
       });
@@ -42,7 +43,7 @@ void Pinger::run(Ipv4Address dst, const Options& opts,
   result_ = PingResult{};
   next_seq_ = 0;
   EchoReplyHandlerChain::for_stack(stack_).add(
-      id_, [this](const IcmpMessage& msg) { on_reply(msg); });
+      id_, [this](const IcmpView& msg) { on_reply(msg); });
   send_next();
 }
 
@@ -55,12 +56,15 @@ void Pinger::send_next() {
                                  });
     return;
   }
-  // Payload carries the transmit timestamp, like real ping.
-  util::ByteWriter w(opts_.payload_size);
-  w.u64(static_cast<std::uint64_t>(stack_.loop().now().count()));
-  while (w.size() < opts_.payload_size) w.u8(0xA5);
-  stack_.send_echo_request(dst_, id_,
-                           static_cast<std::uint16_t>(next_seq_), w.take());
+  // Payload carries the 8-byte transmit timestamp, like real ping.
+  auto body = util::Buffer::allocate(
+      std::max<std::size_t>(opts_.payload_size, 8), util::kPacketHeadroom);
+  const auto sent_ns = static_cast<std::uint64_t>(stack_.loop().now().count());
+  util::store_u32(body.data(), static_cast<std::uint32_t>(sent_ns >> 32));
+  util::store_u32(body.data() + 4, static_cast<std::uint32_t>(sent_ns));
+  std::fill(body.writable().begin() + 8, body.writable().end(), 0xA5);
+  stack_.send_echo_request(dst_, id_, static_cast<std::uint16_t>(next_seq_),
+                           std::move(body));
   ++result_.sent;
   ++next_seq_;
   stack_.loop().schedule_after(opts_.interval,
@@ -70,7 +74,7 @@ void Pinger::send_next() {
                                });
 }
 
-void Pinger::on_reply(const IcmpMessage& msg) {
+void Pinger::on_reply(const IcmpView& msg) {
   if (msg.payload.size() < 8) return;
   util::ByteReader r(msg.payload);
   const auto sent_ns = static_cast<std::int64_t>(r.u64());

@@ -24,7 +24,7 @@ class EchoReplyHandlerChain {
   /// itself as the stack's echo-reply handler.
   static EchoReplyHandlerChain& for_stack(Stack& stack);
 
-  using Handler = std::function<void(const IcmpMessage&)>;
+  using Handler = std::function<void(const IcmpView&)>;
   void add(std::uint16_t id, Handler h) { handlers_[id] = std::move(h); }
   void remove(std::uint16_t id) { handlers_.erase(id); }
 
@@ -65,7 +65,7 @@ class Pinger {
 
  private:
   void send_next();
-  void on_reply(const IcmpMessage& msg);
+  void on_reply(const IcmpView& msg);
   void finish();
 
   Stack& stack_;

@@ -5,7 +5,6 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "net/ipv4.hpp"
 #include "util/buffer.hpp"
@@ -27,37 +26,26 @@ struct UdpSendItem {
 
 /// Connectionless datagram socket.  Delivery is callback-based: the stack
 /// invokes the receive handler as datagrams arrive (after the simulated
-/// kernel processing delay).
+/// kernel processing delay).  Payloads cross the socket API as shared
+/// buffers in both directions, so neither send nor receive copies them.
 class UdpSocket : public std::enable_shared_from_this<UdpSocket> {
  public:
-  using ReceiveHandler = std::function<void(
-      Ipv4Address src, std::uint16_t src_port, std::vector<std::uint8_t> data)>;
-  /// Zero-copy variant: the payload arrives as a sub-buffer of the
-  /// received frame (shared storage — clone before mutating if another
-  /// holder may still read it).
+  /// The payload arrives as a sub-buffer of the received frame (shared
+  /// storage — clone before mutating if another holder may still read it).
   using BufferReceiveHandler = std::function<void(
       Ipv4Address src, std::uint16_t src_port, util::Buffer data)>;
 
   std::uint16_t port() const { return port_; }
   bool is_open() const { return stack_ != nullptr; }
 
-  /// Owning-vector receive path: each datagram costs one payload copy at
-  /// the kernel/user crossing (counted in StackCounters).
-  void set_receive_handler(ReceiveHandler h) {
-    handler_ = std::move(h);
-    buf_handler_ = nullptr;
-  }
-  /// Shared-buffer receive path: delivery is a sub-buffer share, the copy
-  /// the paper's Section V.2 proposes eliminating.
+  /// Delivery is a sub-buffer share, not the kernel/user copy the paper's
+  /// Section V.2 proposes eliminating.
   void set_receive_handler(BufferReceiveHandler h) {
     buf_handler_ = std::move(h);
-    handler_ = nullptr;
   }
-  void send_to(Ipv4Address dst, std::uint16_t dst_port,
-               std::vector<std::uint8_t> data);
-  /// Shared-buffer variant: the 8-byte UDP header is prepended into the
-  /// buffer's headroom, so a send costs zero payload copies (unless the
-  /// storage is shared or cramped, which reallocates once).
+  /// The 8-byte UDP header is prepended into the buffer's headroom, so a
+  /// send costs zero payload copies (unless the storage is shared or
+  /// cramped, which reallocates once).
   void send_to(Ipv4Address dst, std::uint16_t dst_port, util::Buffer data);
   /// Scatter-gather variant: a multi-segment chain is assembled by one
   /// NIC-style gather pass (StackCounters::payload_bytes_gathered), not
@@ -87,17 +75,15 @@ class UdpSocket : public std::enable_shared_from_this<UdpSocket> {
   void emit_datagram(Ipv4Address dst, std::uint16_t dst_port,
                      util::BufferChain payload);
   /// Called by ~Stack: unhook from the dying stack and drop the receive
-  /// handlers, whose captures may hold the only shared_ptr cycle keeping
+  /// handler, whose captures may hold the only shared_ptr cycle keeping
   /// this socket alive.
   void detach() {
     stack_ = nullptr;
-    handler_ = nullptr;
     buf_handler_ = nullptr;
   }
 
   Stack* stack_;
   std::uint16_t port_;
-  ReceiveHandler handler_;
   BufferReceiveHandler buf_handler_;
   std::uint64_t tx_ = 0;
   std::uint64_t rx_ = 0;

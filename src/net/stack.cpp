@@ -189,7 +189,7 @@ void Stack::process_frame(std::size_t iface, sim::Frame frame) {
       // Hand the frame buffer itself to the IP layer: the 14 stripped
       // Ethernet bytes become headroom and the stored payload bytes are
       // never copied again on this host.
-      frame.drop_front(EthernetFrame::kHeaderSize);
+      frame.drop_front(EthernetView::kHeaderSize);
       handle_ip(iface, std::move(frame));
       break;
     default:
@@ -227,12 +227,8 @@ void Stack::handle_arp(std::size_t iface,
     reply.sender_ip = ifc.cfg.ip;
     reply.target_mac = msg.sender_mac;
     reply.target_ip = msg.sender_ip;
-    EthernetFrame eth;
-    eth.dst = msg.sender_mac;
-    eth.src = ifc.cfg.mac;
-    eth.type = EtherType::kArp;
-    eth.payload = reply.encode();
-    emit_frame(iface, util::Buffer::wrap(eth.encode()));
+    emit_frame(iface, frame_onto(util::Buffer::wrap(reply.encode()),
+                                 msg.sender_mac, ifc.cfg.mac, EtherType::kArp));
   }
 }
 
@@ -384,12 +380,9 @@ void Stack::send_arp_request(std::size_t iface, Ipv4Address target) {
   req.sender_mac = ifc.cfg.mac;
   req.sender_ip = ifc.cfg.ip;
   req.target_ip = target;
-  EthernetFrame eth;
-  eth.dst = MacAddress::broadcast();
-  eth.src = ifc.cfg.mac;
-  eth.type = EtherType::kArp;
-  eth.payload = req.encode();
-  emit_frame(iface, util::Buffer::wrap(eth.encode()));
+  emit_frame(iface, frame_onto(util::Buffer::wrap(req.encode()),
+                               MacAddress::broadcast(), ifc.cfg.mac,
+                               EtherType::kArp));
 }
 
 void Stack::emit_ip(std::size_t iface, MacAddress dst, Ipv4Packet pkt) {
@@ -401,7 +394,7 @@ void Stack::emit_ip(std::size_t iface, MacAddress dst, Ipv4Packet pkt) {
     // lint:allow(zero-copy): copy_at_stack_crossing ablation mode — the copy IS the experiment
     pkt.payload = pkt.payload.clone(util::kPacketHeadroom);
   }
-  if (!pkt.wire_in_place(EthernetFrame::kHeaderSize)) {
+  if (!pkt.wire_in_place(EthernetView::kHeaderSize)) {
     // Shared or cramped storage: the header prepend reallocates once.
     counters_.payload_bytes_copied += pkt.payload.size();
   }
@@ -455,17 +448,6 @@ void Stack::deliver_icmp(Ipv4Packet pkt) {
     ++counters_.dropped_parse;
     return;
   }
-  // Handlers receive an owning message (the kernel/user crossing).
-  auto to_message = [&msg] {
-    IcmpMessage m;
-    m.type = msg.type;
-    m.code = msg.code;
-    m.id = msg.id;
-    m.seq = msg.seq;
-    // lint:allow(zero-copy): echo-handler struct compat — ICMP control plane, not forwarded traffic
-    m.payload = msg.payload.to_vector();
-    return m;
-  };
   switch (msg.type) {
     case IcmpType::kEchoRequest: {
       ++counters_.icmp_echo_replied;
@@ -497,7 +479,7 @@ void Stack::deliver_icmp(Ipv4Packet pkt) {
       break;
     }
     case IcmpType::kEchoReply:
-      if (echo_reply_handler_) echo_reply_handler_(pkt.hdr.src, to_message());
+      if (echo_reply_handler_) echo_reply_handler_(pkt.hdr.src, msg);
       break;
     case IcmpType::kDestUnreachable:
     case IcmpType::kTimeExceeded:
@@ -521,24 +503,19 @@ void Stack::deliver_icmp(Ipv4Packet pkt) {
         // restores the displaced handler from inside its last callback),
         // and reassigning the member would destroy the executing closure.
         auto handler = icmp_error_handler_;
-        handler(pkt.hdr.src, to_message());
+        handler(pkt.hdr.src, msg);
       }
       break;
   }
 }
 
 void Stack::send_echo_request(Ipv4Address dst, std::uint16_t id,
-                              std::uint16_t seq,
-                              std::vector<std::uint8_t> payload) {
-  IcmpMessage msg;
-  msg.type = IcmpType::kEchoRequest;
-  msg.id = id;
-  msg.seq = seq;
-  msg.payload = std::move(payload);
+                              std::uint16_t seq, util::Buffer body) {
   Ipv4Packet pkt;
   pkt.hdr.proto = IpProto::kIcmp;
   pkt.hdr.dst = dst;
-  pkt.payload = msg.encode_buffer(util::kPacketHeadroom);
+  pkt.payload =
+      icmp_onto(std::move(body), IcmpType::kEchoRequest, 0, id, seq);
   send_ip(std::move(pkt));
 }
 
@@ -553,28 +530,24 @@ void Stack::send_icmp_error(const Ipv4Packet& original, IcmpType type,
       return;
     }
   }
-  IcmpMessage msg;
-  msg.type = type;
-  msg.code = code;
-  // The second header word's low half (the echo `seq` slot) carries the
-  // error's auxiliary info — the next-hop MTU for frag-needed.
-  msg.seq = info;
   // Quote the original header + 8 payload bytes, per RFC 792.  The
   // header (carrying the original total-length field) is re-serialized
   // directly into the quote: the payload beyond 8 bytes is never copied.
   const std::size_t quote_payload =
       std::min<std::size_t>(original.payload.size(), 8);
-  std::vector<std::uint8_t> quoted(Ipv4Header::kSize + quote_payload);
+  auto quoted = util::Buffer::allocate(Ipv4Header::kSize + quote_payload,
+                                       util::kPacketHeadroom);
   Ipv4Packet::encode_header(quoted.data(), original.hdr,
                             original.total_length());
   // lint:allow(zero-copy): ICMP error builder quotes <= 8 payload bytes (RFC 792), control plane
   std::copy_n(original.payload.begin(), quote_payload,
-              quoted.begin() + Ipv4Header::kSize);
-  msg.payload = std::move(quoted);
+              quoted.data() + Ipv4Header::kSize);
   Ipv4Packet pkt;
   pkt.hdr.proto = IpProto::kIcmp;
   pkt.hdr.dst = original.hdr.src;
-  pkt.payload = msg.encode_buffer(util::kPacketHeadroom);
+  // The second header word's low half (the echo `seq` slot) carries the
+  // error's auxiliary info — the next-hop MTU for frag-needed.
+  pkt.payload = icmp_onto(std::move(quoted), type, code, 0, info);
   ++counters_.icmp_errors_sent;
   send_ip(std::move(pkt));
 }
@@ -607,14 +580,16 @@ void Stack::deliver_udp(Ipv4Packet pkt) {
   // header (and any padding past the length field) without copying.
   util::Buffer data = std::move(pkt.payload);
   data.drop_back(data.size() - dgram.length);
-  data.drop_front(UdpDatagram::kHeaderSize);
+  data.drop_front(UdpView::kHeaderSize);
   sock->deliver(src, sport, std::move(data));
 }
 
 void Stack::deliver_tcp(const Ipv4Packet& pkt) {
-  TcpSegment seg;
+  // The segment is verified and parsed in place: its payload view aliases
+  // the received frame, which outlives this call.
+  TcpView seg;
   try {
-    seg = TcpSegment::decode(pkt.payload, pkt.hdr.src, pkt.hdr.dst);
+    seg = TcpView::parse(pkt.payload.view(), pkt.hdr.src, pkt.hdr.dst);
   } catch (const util::ParseError&) {
     ++counters_.dropped_parse;
     return;
@@ -634,7 +609,7 @@ void Stack::deliver_tcp(const Ipv4Packet& pkt) {
   if (!seg.flags.rst) send_tcp_rst_for(pkt, seg);
 }
 
-void Stack::send_tcp_rst_for(const Ipv4Packet& pkt, const TcpSegment& seg) {
+void Stack::send_tcp_rst_for(const Ipv4Packet& pkt, const TcpView& seg) {
   TcpSegment rst;
   rst.src_port = seg.dst_port;
   rst.dst_port = seg.src_port;
@@ -651,8 +626,8 @@ void Stack::send_tcp_rst_for(const Ipv4Packet& pkt, const TcpSegment& seg) {
   out.hdr.proto = IpProto::kTcp;
   out.hdr.src = pkt.hdr.dst;
   out.hdr.dst = pkt.hdr.src;
-  out.payload =
-      rst.encode_buffer(out.hdr.src, out.hdr.dst, util::kPacketHeadroom);
+  out.payload = rst.encode_gather(out.hdr.src, out.hdr.dst,
+                                  util::kPacketHeadroom, kNoPayload, 0, 0);
   send_ip(std::move(out));
 }
 
@@ -728,13 +703,6 @@ void Stack::tcp_unregister(const TcpKey& key) { tcp_socks_.erase(key); }
 // --------------------------------------------------------------------------
 
 void UdpSocket::send_to(Ipv4Address dst, std::uint16_t dst_port,
-                        std::vector<std::uint8_t> data) {
-  // The wrapped vector has no headroom, so the header prepend below
-  // reallocates once — the copy a real sendto() performs.
-  send_to(dst, dst_port, util::Buffer::wrap(std::move(data)));
-}
-
-void UdpSocket::send_to(Ipv4Address dst, std::uint16_t dst_port,
                         util::Buffer data) {
   if (stack_ == nullptr) return;
   ++stack_->counters_.udp_send_calls;
@@ -773,10 +741,10 @@ void UdpSocket::emit_datagram(Ipv4Address dst, std::uint16_t dst_port,
     // payload_bytes_gathered — DMA descriptor work, not a CPU copy on
     // the send path — except under the copy_at_stack_crossing ablation,
     // where it is exactly the historical kernel copy.
-    data = util::Buffer::allocate(UdpDatagram::kHeaderSize + payload_len,
+    data = util::Buffer::allocate(UdpView::kHeaderSize + payload_len,
                                   util::kPacketHeadroom);
-    UdpDatagram::write_header(data.data(), port_, dst_port, payload_len);
-    payload.gather(0, data.writable().subspan(UdpDatagram::kHeaderSize));
+    UdpView::write_header(data.data(), port_, dst_port, payload_len);
+    payload.gather(0, data.writable().subspan(UdpView::kHeaderSize));
     if (stack_->cfg_.copy_at_stack_crossing) {
       stack_->counters_.payload_bytes_copied += payload_len;
     } else {
@@ -792,14 +760,14 @@ void UdpSocket::emit_datagram(Ipv4Address dst, std::uint16_t dst_port,
       data = data.clone(util::kPacketHeadroom);
     }
     if (!(data.use_count() == 1 &&
-          data.headroom() >= UdpDatagram::kHeaderSize)) {
+          data.headroom() >= UdpView::kHeaderSize)) {
       stack_->counters_.payload_bytes_copied += data.size();
     }
     // The 8-byte header lands in the user buffer's headroom: the send
     // crosses into the simulated kernel without copying the payload (the
     // copy the paper's Section V.2 proposes eliminating).
-    auto slot = data.grow_front(UdpDatagram::kHeaderSize);
-    UdpDatagram::write_header(slot.data(), port_, dst_port, payload_len);
+    auto slot = data.grow_front(UdpView::kHeaderSize);
+    UdpView::write_header(slot.data(), port_, dst_port, payload_len);
   }
   Ipv4Packet pkt;
   pkt.hdr.proto = IpProto::kUdp;
@@ -812,21 +780,14 @@ void UdpSocket::emit_datagram(Ipv4Address dst, std::uint16_t dst_port,
 void UdpSocket::deliver(Ipv4Address src, std::uint16_t src_port,
                         util::Buffer data) {
   ++rx_;
-  if (buf_handler_) {
-    if (stack_ != nullptr && stack_->cfg_.copy_at_stack_crossing) {
-      // Ablation: force the historical kernel/user delivery copy.
-      stack_->counters_.payload_bytes_copied += data.size();
-      // lint:allow(zero-copy): copy_at_stack_crossing ablation mode — the copy IS the experiment
-      data = data.clone();
-    }
-    buf_handler_(src, src_port, std::move(data));
-  } else if (handler_) {
-    if (stack_ != nullptr) {
-      stack_->counters_.payload_bytes_copied += data.size();
-    }
-    // lint:allow(zero-copy): legacy vector-handler delivery, counted above; zero-copy apps use buf_handler_
-    handler_(src, src_port, data.to_vector());
+  if (!buf_handler_) return;
+  if (stack_ != nullptr && stack_->cfg_.copy_at_stack_crossing) {
+    // Ablation: force the historical kernel/user delivery copy.
+    stack_->counters_.payload_bytes_copied += data.size();
+    // lint:allow(zero-copy): copy_at_stack_crossing ablation mode — the copy IS the experiment
+    data = data.clone();
   }
+  buf_handler_(src, src_port, std::move(data));
 }
 
 void UdpSocket::close() {

@@ -86,8 +86,8 @@ struct StackCounters {
   std::uint64_t icmp_errors_sent = 0;
   std::uint64_t icmp_errors_delivered = 0;
   /// Payload bytes memcpy'd by this stack: 0 on the default zero-copy
-  /// path; the copy_at_stack_crossing ablation, owning-vector socket
-  /// APIs and shared-storage reallocations account here.
+  /// path; the copy_at_stack_crossing ablation and shared-storage
+  /// reallocations account here.
   std::uint64_t payload_bytes_copied = 0;
   /// Payload bytes assembled by the scatter-gather walk at datagram /
   /// segment build time — the simulated NIC's DMA descriptor pass over a
@@ -151,17 +151,20 @@ class Stack {
   void send_ip(Ipv4Packet pkt);
 
   // --- ICMP echo ---------------------------------------------------------
+  /// The ICMP header is prepended into `body`'s headroom (icmp_onto).
   void send_echo_request(Ipv4Address dst, std::uint16_t id, std::uint16_t seq,
-                         std::vector<std::uint8_t> payload = {});
-  /// Receives echo *replies* addressed to this host.
+                         util::Buffer body = {});
+  /// Receives echo *replies* addressed to this host.  The view aliases the
+  /// received packet and is valid only for the duration of the call.
   using EchoReplyHandler =
-      std::function<void(Ipv4Address src, const IcmpMessage&)>;
+      std::function<void(Ipv4Address src, const IcmpView&)>;
   void set_echo_reply_handler(EchoReplyHandler h) {
     echo_reply_handler_ = std::move(h);
   }
-  /// Receives ICMP errors (dest unreachable / time exceeded).
+  /// Receives ICMP errors (dest unreachable / time exceeded); the view is
+  /// valid only for the duration of the call.
   using IcmpErrorHandler =
-      std::function<void(Ipv4Address src, const IcmpMessage&)>;
+      std::function<void(Ipv4Address src, const IcmpView&)>;
   void set_icmp_error_handler(IcmpErrorHandler h) {
     icmp_error_handler_ = std::move(h);
   }
@@ -260,7 +263,7 @@ class Stack {
   void deliver_icmp(Ipv4Packet pkt);
   void deliver_udp(Ipv4Packet pkt);
   void deliver_tcp(const Ipv4Packet& pkt);
-  void send_tcp_rst_for(const Ipv4Packet& pkt, const TcpSegment& seg);
+  void send_tcp_rst_for(const Ipv4Packet& pkt, const TcpView& seg);
 
   std::uint16_t alloc_ephemeral_port(bool tcp);
   void tcp_register(const TcpKey& key, std::shared_ptr<TcpSocket> sock);

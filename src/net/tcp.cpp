@@ -89,13 +89,13 @@ void TcpSocket::start_connect(Ipv4Address dst, std::uint16_t dst_port,
   rtt_timing_ = true;
   rtt_seq_ = iss_;
   rtt_sent_at_ = stack_->loop().now();
-  emit_segment(iss_, {}, syn);
+  emit_segment(iss_, syn);
   arm_retransmit();
 }
 
 void TcpSocket::start_accept(Ipv4Address local, std::uint16_t local_port,
                              Ipv4Address remote, std::uint16_t remote_port,
-                             const TcpSegment& syn, TcpListener* listener) {
+                             const TcpView& syn, TcpListener* listener) {
   local_ip_ = local;
   local_port_ = local_port;
   remote_ip_ = remote;
@@ -112,7 +112,7 @@ void TcpSocket::start_accept(Ipv4Address local, std::uint16_t local_port,
   TcpFlags synack;
   synack.syn = true;
   synack.ack = true;
-  emit_segment(iss_, {}, synack);
+  emit_segment(iss_, synack);
   arm_retransmit();
 }
 
@@ -126,7 +126,7 @@ void TcpSocket::enter_established() {
 // Segment input
 // ---------------------------------------------------------------------------
 
-void TcpSocket::on_segment(const TcpSegment& seg) {
+void TcpSocket::on_segment(const TcpView& seg) {
   auto self = shared_from_this();  // keep alive through close paths
   ++stats_.segments_received;
 
@@ -171,7 +171,7 @@ void TcpSocket::on_segment(const TcpSegment& seg) {
         TcpFlags synack;
         synack.syn = true;
         synack.ack = true;
-        emit_segment(iss_, {}, synack);
+        emit_segment(iss_, synack);
         arm_retransmit();
       }
       return;
@@ -183,7 +183,7 @@ void TcpSocket::on_segment(const TcpSegment& seg) {
         TcpFlags synack;
         synack.syn = true;
         synack.ack = true;
-        emit_segment(iss_, {}, synack);
+        emit_segment(iss_, synack);
         return;
       }
       if (seg.flags.ack && seg.ack == iss_ + 1) {
@@ -220,7 +220,7 @@ void TcpSocket::on_segment(const TcpSegment& seg) {
   output();
 }
 
-void TcpSocket::process_ack(const TcpSegment& seg) {
+void TcpSocket::process_ack(const TcpView& seg) {
   if (!seg.flags.ack) return;
   const std::uint32_t ack = seg.ack;
 
@@ -323,7 +323,7 @@ void TcpSocket::process_ack(const TcpSegment& seg) {
   }
 }
 
-void TcpSocket::process_data(const TcpSegment& seg) {
+void TcpSocket::process_data(const TcpView& seg) {
   const std::uint32_t orig_seq = seg.seq;
   const std::size_t len = seg.payload.size();
 
@@ -598,7 +598,7 @@ void TcpSocket::maybe_send_fin() {
   TcpFlags flags;
   flags.fin = true;
   flags.ack = true;
-  emit_segment(snd_nxt_, {}, flags);
+  emit_segment(snd_nxt_, flags);
   snd_nxt_ += 1;
   arm_retransmit();
 }
@@ -625,12 +625,9 @@ void TcpSocket::emit_wire(util::Buffer seg_wire) {
   stack_->send_ip(std::move(pkt));
 }
 
-void TcpSocket::emit_segment(std::uint32_t seq,
-                             std::span<const std::uint8_t> payload,
-                             TcpFlags flags) {
-  TcpSegment seg = make_segment(seq, flags);
-  seg.payload.assign(payload.begin(), payload.end());
-  emit_wire(seg.encode_buffer(local_ip_, remote_ip_, util::kPacketHeadroom));
+void TcpSocket::emit_segment(std::uint32_t seq, TcpFlags flags) {
+  emit_wire(make_segment(seq, flags).encode_gather(
+      local_ip_, remote_ip_, util::kPacketHeadroom, kNoPayload, 0, 0));
 }
 
 void TcpSocket::emit_data_segment(std::uint32_t seq, std::size_t queue_offset,
@@ -647,7 +644,7 @@ void TcpSocket::emit_data_segment(std::uint32_t seq, std::size_t queue_offset,
 void TcpSocket::send_ack_now() {
   TcpFlags flags;
   flags.ack = true;
-  emit_segment(snd_nxt_, {}, flags);
+  emit_segment(snd_nxt_, flags);
 }
 
 void TcpSocket::send_rst(std::uint32_t seq, std::uint32_t ack, bool with_ack) {
@@ -664,8 +661,8 @@ void TcpSocket::send_rst(std::uint32_t seq, std::uint32_t ack, bool with_ack) {
   pkt.hdr.proto = IpProto::kTcp;
   pkt.hdr.src = local_ip_;
   pkt.hdr.dst = remote_ip_;
-  pkt.payload =
-      seg.encode_buffer(local_ip_, remote_ip_, util::kPacketHeadroom);
+  pkt.payload = seg.encode_gather(local_ip_, remote_ip_,
+                                  util::kPacketHeadroom, kNoPayload, 0, 0);
   ++stats_.segments_sent;
   stack_->send_ip(std::move(pkt));
 }
@@ -722,14 +719,14 @@ void TcpSocket::retransmit_front() {
   if (state_ == TcpState::kSynSent) {
     TcpFlags syn;
     syn.syn = true;
-    emit_segment(iss_, {}, syn);
+    emit_segment(iss_, syn);
     return;
   }
   if (state_ == TcpState::kSynRcvd) {
     TcpFlags synack;
     synack.syn = true;
     synack.ack = true;
-    emit_segment(iss_, {}, synack);
+    emit_segment(iss_, synack);
     return;
   }
   // Earliest unacked data byte lives at the front of send_queue_.
@@ -749,7 +746,7 @@ void TcpSocket::retransmit_front() {
     TcpFlags flags;
     flags.fin = true;
     flags.ack = true;
-    emit_segment(fin_seq_, {}, flags);
+    emit_segment(fin_seq_, flags);
   }
 }
 
@@ -843,7 +840,7 @@ Duration TcpSocket::current_rto() const {
 // TcpListener
 // ---------------------------------------------------------------------------
 
-void TcpListener::handle_syn(Ipv4Address dst_ip, const TcpSegment& syn,
+void TcpListener::handle_syn(Ipv4Address dst_ip, const TcpView& syn,
                              Ipv4Address src) {
   // Clamp MSS to the path back toward the client.
   TcpConfig cfg = cfg_;

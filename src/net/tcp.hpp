@@ -152,14 +152,15 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
                      Ipv4Address src, std::uint16_t src_port);
   void start_accept(Ipv4Address local, std::uint16_t local_port,
                     Ipv4Address remote, std::uint16_t remote_port,
-                    const TcpSegment& syn, TcpListener* listener);
+                    const TcpView& syn, TcpListener* listener);
 
-  void on_segment(const TcpSegment& seg);
+  /// `seg` aliases the received packet; nothing keeps it past the call.
+  void on_segment(const TcpView& seg);
 
   // --- output path -------------------------------------------------------
   void output();  // transmit as much as windows allow
-  void emit_segment(std::uint32_t seq, std::span<const std::uint8_t> payload,
-                    TcpFlags flags);
+  /// Control segment (SYN, ACK, FIN): header only.
+  void emit_segment(std::uint32_t seq, TcpFlags flags);
   /// Data segment: payload bytes are gathered from [queue_offset,
   /// queue_offset+len) of the send queue directly into the wire image —
   /// no intermediate owning vector.
@@ -173,8 +174,8 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   std::uint16_t advertised_window() const;
 
   // --- input path --------------------------------------------------------
-  void process_ack(const TcpSegment& seg);
-  void process_data(const TcpSegment& seg);
+  void process_ack(const TcpView& seg);
+  void process_data(const TcpView& seg);
   /// ICMP frag-needed (code 4) for this connection: clamp the MSS to the
   /// reported next-hop MTU and resend the blackholed segment at the new
   /// size (RFC 1191 path-MTU discovery; not a congestion signal).
@@ -272,7 +273,7 @@ class TcpListener : public std::enable_shared_from_this<TcpListener> {
   TcpListener(Stack* stack, std::uint16_t port, TcpConfig cfg)
       : stack_(stack), port_(port), cfg_(cfg) {}
 
-  void handle_syn(Ipv4Address dst_ip, const TcpSegment& syn, Ipv4Address src);
+  void handle_syn(Ipv4Address dst_ip, const TcpView& syn, Ipv4Address src);
   void connection_ready(std::shared_ptr<TcpSocket> sock);
   void detach() {
     stack_ = nullptr;

@@ -1,7 +1,5 @@
 #include "net/tcp_wire.hpp"
 
-#include <algorithm>
-
 namespace ipop::net {
 
 std::string TcpFlags::to_string() const {
@@ -15,37 +13,7 @@ std::string TcpFlags::to_string() const {
   return s.empty() ? "-" : s;
 }
 
-namespace {
-
-/// Header bytes (checksum slot zeroed) into a pre-sized 20-byte slot —
-/// the single wire-header definition shared by the copying and gathering
-/// encoders.
-void write_tcp_header(std::uint8_t* p, const TcpSegment& seg) {
-  util::store_u16(p, seg.src_port);
-  util::store_u16(p + 2, seg.dst_port);
-  util::store_u32(p + 4, seg.seq);
-  util::store_u32(p + 8, seg.ack);
-  p[12] = 5 << 4;  // data offset 5 words, no options
-  p[13] = seg.flags.encode();
-  util::store_u16(p + 14, seg.window);
-  util::store_u16(p + 16, 0);  // checksum placeholder
-  util::store_u16(p + 18, 0);  // urgent pointer
-}
-
-}  // namespace
-
-util::Buffer TcpSegment::encode_buffer(Ipv4Address src_ip, Ipv4Address dst_ip,
-                                       std::size_t headroom) const {
-  auto buf = util::Buffer::allocate(kHeaderSize + payload.size(), headroom);
-  std::uint8_t* p = buf.data();
-  write_tcp_header(p, *this);
-  // lint:allow(zero-copy): struct-form serializer for handshake/test segments; data rides encode_gather
-  std::copy(payload.begin(), payload.end(), p + kHeaderSize);
-  util::store_u16(p + TcpView::kChecksumOffset,
-                  transport_checksum(src_ip, dst_ip, IpProto::kTcp,
-                                     buf.as_span()));
-  return buf;
-}
+const util::BufferChain kNoPayload;
 
 util::Buffer TcpSegment::encode_gather(Ipv4Address src_ip, Ipv4Address dst_ip,
                                        std::size_t headroom,
@@ -54,18 +22,20 @@ util::Buffer TcpSegment::encode_gather(Ipv4Address src_ip, Ipv4Address dst_ip,
                                        std::size_t len) const {
   auto buf = util::Buffer::allocate(kHeaderSize + len, headroom);
   std::uint8_t* p = buf.data();
-  write_tcp_header(p, *this);
+  util::store_u16(p, src_port);
+  util::store_u16(p + 2, dst_port);
+  util::store_u32(p + 4, seq);
+  util::store_u32(p + 8, ack);
+  p[12] = 5 << 4;  // data offset 5 words, no options
+  p[13] = flags.encode();
+  util::store_u16(p + 14, window);
+  util::store_u16(p + TcpView::kChecksumOffset, 0);  // placeholder
+  util::store_u16(p + 18, 0);                        // urgent pointer
   queue.gather(offset, buf.writable().subspan(kHeaderSize));
   util::store_u16(p + TcpView::kChecksumOffset,
                   transport_checksum(src_ip, dst_ip, IpProto::kTcp,
                                      buf.as_span()));
   return buf;
-}
-
-std::vector<std::uint8_t> TcpSegment::encode(Ipv4Address src_ip,
-                                             Ipv4Address dst_ip) const {
-  // lint:allow(zero-copy): legacy vector codec kept for tests; the data plane uses encode_gather
-  return encode_buffer(src_ip, dst_ip, 0).to_vector();
 }
 
 TcpView TcpView::parse(util::BufferView bytes) {
@@ -90,22 +60,12 @@ TcpView TcpView::parse(util::BufferView bytes) {
   return v;
 }
 
-TcpSegment TcpSegment::decode(std::span<const std::uint8_t> bytes,
-                              Ipv4Address src_ip, Ipv4Address dst_ip) {
+TcpView TcpView::parse(util::BufferView bytes, Ipv4Address src_ip,
+                       Ipv4Address dst_ip) {
   if (transport_checksum(src_ip, dst_ip, IpProto::kTcp, bytes) != 0) {
     throw util::ParseError("bad TCP checksum");
   }
-  TcpView v = TcpView::parse(bytes);
-  TcpSegment s;
-  s.src_port = v.src_port;
-  s.dst_port = v.dst_port;
-  s.seq = v.seq;
-  s.ack = v.ack;
-  s.flags = v.flags;
-  s.window = v.window;
-  // lint:allow(zero-copy): legacy struct decode kept for tests; the data plane parses views
-  s.payload = v.payload.to_vector();
-  return s;
+  return parse(bytes);
 }
 
 }  // namespace ipop::net

@@ -4,13 +4,13 @@
 // control live in net/tcp.hpp.  Brunet's TCP transport mode and every
 // application stream (ttcp, SSH-like exec, NFS, MPI) serialize through
 // this codec — including the tunneled case where a complete inner TCP
-// segment becomes the payload of an IPOP-encapsulated packet.
+// segment becomes the payload of an IPOP-encapsulated packet.  One wire
+// representation: TcpSegment::encode_gather builds a segment (control
+// segments gather zero bytes) and TcpView parses one in place.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "net/ipv4.hpp"
 #include "util/buffer_chain.hpp"
@@ -41,6 +41,8 @@ struct TcpFlags {
   std::string to_string() const;
 };
 
+/// Header fields of a segment to send.  The payload never lives here: it
+/// is gathered out of the send queue straight into the wire image.
 struct TcpSegment {
   std::uint16_t src_port = 0;
   std::uint16_t dst_port = 0;
@@ -48,35 +50,26 @@ struct TcpSegment {
   std::uint32_t ack = 0;
   TcpFlags flags;
   std::uint16_t window = 0;
-  std::vector<std::uint8_t> payload;
 
   static constexpr std::size_t kHeaderSize = 20;  // no options
 
-  /// Encode with a valid pseudo-header checksum.
-  std::vector<std::uint8_t> encode(Ipv4Address src_ip,
-                                   Ipv4Address dst_ip) const;
-  /// Encode into a shared buffer with `headroom` spare front bytes so the
-  /// IP and Ethernet headers prepend downstream without copying.
-  util::Buffer encode_buffer(Ipv4Address src_ip, Ipv4Address dst_ip,
-                             std::size_t headroom) const;
-  /// Scatter-gather encode: header fields come from *this (this->payload
-  /// is ignored), the payload bytes are gathered straight out of
-  /// [offset, offset+len) of `queue` into the wire image — the send
-  /// queue's bytes reach the segment without an intermediate owning
-  /// vector.  The checksum covers the gathered bytes.
+  /// Scatter-gather encode: the payload bytes are gathered straight out
+  /// of [offset, offset+len) of `queue` into a fresh wire image with
+  /// `headroom` spare front bytes, so the IP and Ethernet headers prepend
+  /// downstream without copying.  The pseudo-header checksum covers the
+  /// gathered bytes.  Control segments gather zero bytes from kNoPayload.
   util::Buffer encode_gather(Ipv4Address src_ip, Ipv4Address dst_ip,
                              std::size_t headroom,
                              const util::BufferChain& queue,
                              std::size_t offset, std::size_t len) const;
-  /// Throws util::ParseError on truncation or checksum failure.
-  static TcpSegment decode(std::span<const std::uint8_t> bytes,
-                           Ipv4Address src_ip, Ipv4Address dst_ip);
 };
 
-/// Zero-copy parsed TCP header: `payload` aliases the input view.
-/// Structural checks only (TcpSegment::decode validates the checksum) —
-/// what middleboxes reading ports need.  Field offsets are exposed so NAT
-/// can patch ports/checksum in place.
+/// The empty queue control segments (SYN, ACK, FIN, RST) gather from.
+/// Shared and read-only: constructing a BufferChain allocates.
+extern const util::BufferChain kNoPayload;
+
+/// Zero-copy parsed TCP header: `payload` aliases the input view.  Field
+/// offsets are exposed so NAT can patch ports/checksum in place.
 struct TcpView {
   std::uint16_t src_port = 0;
   std::uint16_t dst_port = 0;
@@ -91,8 +84,14 @@ struct TcpView {
   static constexpr std::size_t kDstPortOffset = 2;
   static constexpr std::size_t kChecksumOffset = 16;
 
-  /// Throws util::ParseError on truncation or a bad data offset.
+  /// Structural parse only — what middleboxes reading ports need: they
+  /// must not drop on a checksum the endpoints own.  Throws
+  /// util::ParseError on truncation or a bad data offset.
   static TcpView parse(util::BufferView bytes);
+  /// Endpoint parse: verifies the pseudo-header checksum, then parses in
+  /// place.  Throws util::ParseError on a checksum failure as well.
+  static TcpView parse(util::BufferView bytes, Ipv4Address src_ip,
+                       Ipv4Address dst_ip);
 };
 
 /// Modular 32-bit sequence comparisons (RFC 793 style).

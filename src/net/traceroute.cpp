@@ -22,7 +22,7 @@ void Traceroute::run(Ipv4Address dst, const Options& opts,
   running_ = true;
   saved_handler_ = stack_.icmp_error_handler();
   stack_.set_icmp_error_handler(
-      [this](Ipv4Address from, const IcmpMessage& msg) {
+      [this](Ipv4Address from, const IcmpView& msg) {
         on_error(from, msg);
       });
   send_probe();
@@ -30,17 +30,20 @@ void Traceroute::run(Ipv4Address dst, const Options& opts,
 
 void Traceroute::send_probe() {
   ++ttl_;
-  UdpDatagram d;
-  d.src_port = opts_.src_port;
-  d.dst_port = static_cast<std::uint16_t>(opts_.base_port + ttl_ - 1);
-  d.payload = {0x74, 0x72};  // "tr"
+  auto probe = util::Buffer::allocate(UdpView::kHeaderSize + 2,
+                                      util::kPacketHeadroom);
+  // Checksum 0 ("not computed", RFC 768): every translated error quote
+  // along a NAT'd path must leave it zero.
+  UdpView::write_header(probe.data(), opts_.src_port,
+                        static_cast<std::uint16_t>(opts_.base_port + ttl_ - 1),
+                        2);
+  probe[UdpView::kHeaderSize] = 0x74;  // "tr"
+  probe[UdpView::kHeaderSize + 1] = 0x72;
   Ipv4Packet pkt;
   pkt.hdr.proto = IpProto::kUdp;
   pkt.hdr.ttl = static_cast<std::uint8_t>(ttl_);
   pkt.hdr.dst = dst_;
-  // Checksum 0 ("not computed", RFC 768): every translated error quote
-  // along a NAT'd path must leave it zero.
-  pkt.payload = util::Buffer::wrap(d.encode());
+  pkt.payload = std::move(probe);
   probe_sent_at_ = stack_.loop().now();
   timeout_timer_ =
       stack_.loop().schedule_after(opts_.probe_timeout, [this] {
@@ -51,7 +54,7 @@ void Traceroute::send_probe() {
   stack_.send_ip(std::move(pkt));
 }
 
-void Traceroute::on_error(Ipv4Address from, const IcmpMessage& msg) {
+void Traceroute::on_error(Ipv4Address from, const IcmpView& msg) {
   if (!running_ || !msg.is_error()) return;
   // Match the probe through the quoted UDP header (original IP header +
   // 8 payload bytes, RFC 792).

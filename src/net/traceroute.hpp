@@ -53,7 +53,7 @@ class Traceroute {
 
  private:
   void send_probe();
-  void on_error(Ipv4Address from, const IcmpMessage& msg);
+  void on_error(Ipv4Address from, const IcmpView& msg);
   /// Record a hop; `stop` ends the trace (destination answered, or a
   /// mid-path unreachable further TTLs could not get past).
   void advance(TracerouteHop hop, bool stop);

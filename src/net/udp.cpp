@@ -1,35 +1,15 @@
 #include "net/udp.hpp"
 
-#include <algorithm>
-
 namespace ipop::net {
 
-void UdpDatagram::write_header(std::uint8_t* out, std::uint16_t src_port,
-                               std::uint16_t dst_port,
-                               std::size_t payload_len) {
-  util::store_u16(out + UdpView::kSrcPortOffset, src_port);
-  util::store_u16(out + UdpView::kDstPortOffset, dst_port);
-  util::store_u16(out + UdpView::kLengthOffset,
+void UdpView::write_header(std::uint8_t* out, std::uint16_t src_port,
+                           std::uint16_t dst_port, std::size_t payload_len) {
+  util::store_u16(out + kSrcPortOffset, src_port);
+  util::store_u16(out + kDstPortOffset, dst_port);
+  util::store_u16(out + kLengthOffset,
                   static_cast<std::uint16_t>(kHeaderSize + payload_len));
   // Checksum: not computed (legal for IPv4).
-  util::store_u16(out + UdpView::kChecksumOffset, 0);
-}
-
-std::vector<std::uint8_t> UdpDatagram::encode() const {
-  std::vector<std::uint8_t> bytes(kHeaderSize + payload.size());
-  write_header(bytes.data(), src_port, dst_port, payload.size());
-  // lint:allow(zero-copy): legacy vector codec kept for tests; the data plane prepends into headroom
-  std::copy(payload.begin(), payload.end(), bytes.begin() + kHeaderSize);
-  return bytes;
-}
-
-std::vector<std::uint8_t> UdpDatagram::encode(Ipv4Address src,
-                                              Ipv4Address dst) const {
-  auto bytes = encode();
-  std::uint16_t csum = transport_checksum(src, dst, IpProto::kUdp, bytes);
-  if (csum == 0) csum = 0xFFFF;  // 0 would mean "no checksum"
-  util::store_u16(bytes.data() + UdpView::kChecksumOffset, csum);
-  return bytes;
+  util::store_u16(out + kChecksumOffset, 0);
 }
 
 UdpView UdpView::parse(util::BufferView bytes) {
@@ -38,29 +18,12 @@ UdpView UdpView::parse(util::BufferView bytes) {
   v.src_port = r.u16();
   v.dst_port = r.u16();
   v.length = r.u16();
-  if (v.length < UdpDatagram::kHeaderSize || v.length > bytes.size()) {
+  if (v.length < kHeaderSize || v.length > bytes.size()) {
     throw util::ParseError("bad UDP length");
   }
   v.checksum = r.u16();
-  v.payload = bytes.subview(UdpDatagram::kHeaderSize,
-                            v.length - UdpDatagram::kHeaderSize);
+  v.payload = bytes.subview(kHeaderSize, v.length - kHeaderSize);
   return v;
-}
-
-UdpDatagram UdpDatagram::decode(util::BufferView bytes, Ipv4Address src,
-                                Ipv4Address dst) {
-  UdpView v = UdpView::parse(bytes);
-  if (v.checksum != 0 &&
-      transport_checksum(src, dst, IpProto::kUdp,
-                         bytes.subview(0, v.length)) != 0) {
-    throw util::ParseError("bad UDP checksum");
-  }
-  UdpDatagram d;
-  d.src_port = v.src_port;
-  d.dst_port = v.dst_port;
-  // lint:allow(zero-copy): legacy struct decode kept for tests; the data plane parses views
-  d.payload = v.payload.to_vector();
-  return d;
 }
 
 }  // namespace ipop::net

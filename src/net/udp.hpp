@@ -1,49 +1,24 @@
-// UDP datagram codec.
+// UDP header codec.
 //
 // Brunet's UDP transport mode (the configuration that wins the paper's WAN
 // throughput comparison, Table III) and the NAT hole-punching protocol both
-// ride on these datagrams.
+// ride on these datagrams.  One wire representation: UdpView parses a
+// datagram in place and write_header lays the header into a buffer's
+// headroom in front of the payload.
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "net/ipv4.hpp"
 
 namespace ipop::net {
 
-struct UdpDatagram {
-  std::uint16_t src_port = 0;
-  std::uint16_t dst_port = 0;
-  std::vector<std::uint8_t> payload;
-
-  static constexpr std::size_t kHeaderSize = 8;
-
-  /// Checksum is emitted as 0 ("not computed"), which is legal for UDP
-  /// over IPv4; frame integrity in the simulator is structural.
-  std::vector<std::uint8_t> encode() const;
-  /// Encode with a real pseudo-header checksum (0 is transmitted as
-  /// 0xFFFF per RFC 768, since 0 means "no checksum").
-  std::vector<std::uint8_t> encode(Ipv4Address src, Ipv4Address dst) const;
-  /// Decode + validate: a nonzero checksum field is verified against the
-  /// IPv4 pseudo-header; 0 = "no checksum" skips validation (RFC 768).
-  /// Throws util::ParseError on truncation, bad length or bad checksum.
-  static UdpDatagram decode(util::BufferView bytes, Ipv4Address src,
-                            Ipv4Address dst);
-
-  /// Write the 8-byte header (checksum 0) into a pre-sized slot — the
-  /// single definition of the wire header, shared by encode() and the
-  /// zero-copy socket path, which lays it into a buffer's headroom.
-  static void write_header(std::uint8_t* out, std::uint16_t src_port,
-                           std::uint16_t dst_port, std::size_t payload_len);
-};
-
 /// Zero-copy parsed UDP header: `payload` aliases the input view (trimmed
 /// to the length field).  Structural checks only — middleboxes reading
 /// ports must not drop on checksums they do not own; endpoint delivery
-/// validates via UdpDatagram::decode or an explicit transport_checksum.
-/// Field offsets are exposed so NAT can patch ports/checksum in place.
+/// (Stack::deliver_udp) validates a nonzero checksum with
+/// transport_checksum.  Field offsets are exposed so NAT can patch
+/// ports/checksum in place.
 struct UdpView {
   std::uint16_t src_port = 0;
   std::uint16_t dst_port = 0;
@@ -51,6 +26,7 @@ struct UdpView {
   std::uint16_t checksum = 0;  // 0: not computed
   util::BufferView payload;
 
+  static constexpr std::size_t kHeaderSize = 8;
   static constexpr std::size_t kSrcPortOffset = 0;
   static constexpr std::size_t kDstPortOffset = 2;
   static constexpr std::size_t kLengthOffset = 4;
@@ -58,6 +34,13 @@ struct UdpView {
 
   /// Throws util::ParseError on truncation or a bad length field.
   static UdpView parse(util::BufferView bytes);
+
+  /// Write the 8-byte header into a pre-sized slot (typically the
+  /// grow_front() slot in front of the payload).  The checksum is emitted
+  /// as 0 ("not computed"), which is legal for UDP over IPv4; frame
+  /// integrity in the simulator is structural.
+  static void write_header(std::uint8_t* out, std::uint16_t src_port,
+                           std::uint16_t dst_port, std::size_t payload_len);
 };
 
 }  // namespace ipop::net

@@ -11,9 +11,14 @@
 #include "net/topology.hpp"
 #include "net/traceroute.hpp"
 #include "net/udp.hpp"
+#include "wire_builders.hpp"
 
 namespace ipop::net {
 namespace {
+
+using test::buf;
+using test::tcp_wire;
+using test::udp_wire;
 
 using util::milliseconds;
 using util::seconds;
@@ -74,7 +79,7 @@ TEST_P(NatFixture, OutboundUdpIsTranslatedAndRepliesReturn) {
   Ipv4Address seen_src;
   std::uint16_t seen_port = 0;
   server->set_receive_handler(
-      [&](Ipv4Address src, std::uint16_t sport, std::vector<std::uint8_t> d) {
+      [&](Ipv4Address src, std::uint16_t sport, util::Buffer d) {
         seen_src = src;
         seen_port = sport;
         server->send_to(src, sport, std::move(d));
@@ -82,10 +87,10 @@ TEST_P(NatFixture, OutboundUdpIsTranslatedAndRepliesReturn) {
   auto client = inside->stack().udp_bind(5555);
   std::vector<std::uint8_t> reply;
   client->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t, std::vector<std::uint8_t> d) {
-        reply = std::move(d);
+      [&](Ipv4Address, std::uint16_t, util::Buffer d) {
+        reply = d.to_vector();
       });
-  client->send_to(ip("8.0.0.10"), 7000, {1, 2, 3});
+  client->send_to(ip("8.0.0.10"), 7000, buf({1, 2, 3}));
   net.loop().run_until(seconds(2));
   EXPECT_EQ(seen_src, ip("8.0.0.1"));  // translated to the NAT's external IP
   EXPECT_NE(seen_port, 5555);          // translated port
@@ -98,22 +103,22 @@ TEST_P(NatFixture, ThirdPartyInboundFollowsNatTypeRules) {
   auto server = pub1->stack().udp_bind(7000);
   std::uint16_t mapped_port = 0;
   server->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t sport, std::vector<std::uint8_t>) {
+      [&](Ipv4Address, std::uint16_t sport, util::Buffer) {
         mapped_port = sport;
       });
   auto client = inside->stack().udp_bind(5555);
   int inside_got = 0;
   client->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t, std::vector<std::uint8_t>) {
+      [&](Ipv4Address, std::uint16_t, util::Buffer) {
         ++inside_got;
       });
-  client->send_to(ip("8.0.0.10"), 7000, {1});
+  client->send_to(ip("8.0.0.10"), 7000, buf({1}));
   net.loop().run_until(seconds(1));
   ASSERT_NE(mapped_port, 0);
 
   // pub2 (different IP, some port) sends to the mapping.
   auto probe = pub2->stack().udp_bind(9000);
-  probe->send_to(ip("8.0.0.1"), mapped_port, {0x77});
+  probe->send_to(ip("8.0.0.1"), mapped_port, buf({0x77}));
   net.loop().run_until(seconds(2));
 
   const bool should_pass = GetParam() == NatType::kFullCone;
@@ -126,21 +131,21 @@ TEST_P(NatFixture, SameHostDifferentPortFollowsNatTypeRules) {
   auto server = pub1->stack().udp_bind(7000);
   std::uint16_t mapped_port = 0;
   server->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t sport, std::vector<std::uint8_t>) {
+      [&](Ipv4Address, std::uint16_t sport, util::Buffer) {
         mapped_port = sport;
       });
   auto client = inside->stack().udp_bind(5555);
   int inside_got = 0;
   client->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t, std::vector<std::uint8_t>) {
+      [&](Ipv4Address, std::uint16_t, util::Buffer) {
         ++inside_got;
       });
-  client->send_to(ip("8.0.0.10"), 7000, {1});
+  client->send_to(ip("8.0.0.10"), 7000, buf({1}));
   net.loop().run_until(seconds(1));
   ASSERT_NE(mapped_port, 0);
 
   auto other_port = pub1->stack().udp_bind(7001);
-  other_port->send_to(ip("8.0.0.1"), mapped_port, {0x55});
+  other_port->send_to(ip("8.0.0.1"), mapped_port, buf({0x55}));
   net.loop().run_until(seconds(2));
 
   const bool should_pass = GetParam() == NatType::kFullCone ||
@@ -156,13 +161,13 @@ TEST_P(NatFixture, ConePreservesMappingAcrossDestinations) {
   std::uint16_t port_seen_by_1 = 0, port_seen_by_2 = 0;
   auto s1 = pub1->stack().udp_bind(7000);
   s1->set_receive_handler([&](Ipv4Address, std::uint16_t sport,
-                              std::vector<std::uint8_t>) { port_seen_by_1 = sport; });
+                              util::Buffer) { port_seen_by_1 = sport; });
   auto s2 = pub2->stack().udp_bind(7000);
   s2->set_receive_handler([&](Ipv4Address, std::uint16_t sport,
-                              std::vector<std::uint8_t>) { port_seen_by_2 = sport; });
+                              util::Buffer) { port_seen_by_2 = sport; });
   auto client = inside->stack().udp_bind(5555);
-  client->send_to(ip("8.0.0.10"), 7000, {1});
-  client->send_to(ip("8.0.0.20"), 7000, {1});
+  client->send_to(ip("8.0.0.10"), 7000, buf({1}));
+  client->send_to(ip("8.0.0.20"), 7000, buf({1}));
   net.loop().run_until(seconds(2));
   ASSERT_NE(port_seen_by_1, 0);
   ASSERT_NE(port_seen_by_2, 0);
@@ -195,7 +200,7 @@ TEST_P(NatFixture, TcpThroughNatWorksOutbound) {
 TEST_P(NatFixture, UnsolicitedInboundToUnmappedPortBlocked) {
   auto probe = pub2->stack().udp_bind(9000);
   const auto blocked_before = nat->stats().blocked_in;
-  probe->send_to(ip("8.0.0.1"), 40000, {1});
+  probe->send_to(ip("8.0.0.1"), 40000, buf({1}));
   net.loop().run_until(seconds(2));
   EXPECT_EQ(nat->stats().blocked_in, blocked_before + 1);
 }
@@ -245,11 +250,11 @@ TEST_F(NatLifetimeFixture, IdleMappingsExpireAndBlockInbound) {
   auto server = outside->stack().udp_bind(7000);
   std::uint16_t mapped_port = 0;
   server->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t sport, std::vector<std::uint8_t>) {
+      [&](Ipv4Address, std::uint16_t sport, util::Buffer) {
         mapped_port = sport;
       });
   auto client = inside->stack().udp_bind(5555);
-  client->send_to(ip("8.0.0.2"), 7000, {1});
+  client->send_to(ip("8.0.0.2"), 7000, buf({1}));
   net.loop().run_until(seconds(1));
   ASSERT_NE(mapped_port, 0);
   EXPECT_EQ(nat->mapping_count(), 1u);
@@ -264,7 +269,7 @@ TEST_F(NatLifetimeFixture, IdleMappingsExpireAndBlockInbound) {
   // The reclaimed external port no longer routes inside.
   auto probe = outside->stack().udp_bind(9000);
   const auto blocked_before = nat->stats().blocked_in;
-  probe->send_to(ip("8.0.0.1"), mapped_port, {2});
+  probe->send_to(ip("8.0.0.1"), mapped_port, buf({2}));
   net.loop().run_until(seconds(12));
   EXPECT_EQ(nat->stats().blocked_in, blocked_before + 1);
 }
@@ -272,11 +277,11 @@ TEST_F(NatLifetimeFixture, IdleMappingsExpireAndBlockInbound) {
 TEST_F(NatLifetimeFixture, TrafficRefreshesMappings) {
   auto server = outside->stack().udp_bind(7000);
   server->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t, std::vector<std::uint8_t>) {});
+      [&](Ipv4Address, std::uint16_t, util::Buffer) {});
   auto client = inside->stack().udp_bind(5555);
   // Send every 2 s for 20 s: always inside the 5 s idle timeout.
   for (int i = 0; i < 10; ++i) {
-    client->send_to(ip("8.0.0.2"), 7000, {1});
+    client->send_to(ip("8.0.0.2"), 7000, buf({1}));
     net.loop().run_until(net.loop().now() + seconds(2));
   }
   EXPECT_EQ(nat->mapping_count(), 1u);
@@ -294,14 +299,14 @@ TEST_F(NatLifetimeFixture, ExternalPortWrapReusesExpiredPortsCleanly) {
   auto server = outside->stack().udp_bind(7000);
   std::vector<std::uint16_t> seen_ports;
   server->set_receive_handler(
-      [&](Ipv4Address src, std::uint16_t sport, std::vector<std::uint8_t> d) {
+      [&](Ipv4Address src, std::uint16_t sport, util::Buffer d) {
         seen_ports.push_back(sport);
         server->send_to(src, sport, std::move(d));  // echo
       });
   auto a = inside->stack().udp_bind(5001);
   auto b = inside->stack().udp_bind(5002);
-  a->send_to(ip("8.0.0.2"), 7000, {1});
-  b->send_to(ip("8.0.0.2"), 7000, {1});
+  a->send_to(ip("8.0.0.2"), 7000, buf({1}));
+  b->send_to(ip("8.0.0.2"), 7000, buf({1}));
   net.loop().run_until(seconds(1));
   ASSERT_EQ(seen_ports.size(), 2u);
   EXPECT_EQ(nat->stats().mappings_created, 2u);
@@ -309,7 +314,7 @@ TEST_F(NatLifetimeFixture, ExternalPortWrapReusesExpiredPortsCleanly) {
   // A third concurrent flow finds the port space exhausted and is
   // dropped, not silently aliased onto a live mapping.
   auto c = inside->stack().udp_bind(5003);
-  c->send_to(ip("8.0.0.2"), 7000, {1});
+  c->send_to(ip("8.0.0.2"), 7000, buf({1}));
   net.loop().run_until(seconds(2));
   EXPECT_EQ(seen_ports.size(), 2u);
   EXPECT_GE(nat->stats().dropped_port_exhausted, 1u);
@@ -323,15 +328,15 @@ TEST_F(NatLifetimeFixture, ExternalPortWrapReusesExpiredPortsCleanly) {
   auto d = inside->stack().udp_bind(6001);
   auto e = inside->stack().udp_bind(6002);
   d->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t, std::vector<std::uint8_t>) {
+      [&](Ipv4Address, std::uint16_t, util::Buffer) {
         ++d_replies;
       });
   e->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t, std::vector<std::uint8_t>) {
+      [&](Ipv4Address, std::uint16_t, util::Buffer) {
         ++e_replies;
       });
-  d->send_to(ip("8.0.0.2"), 7000, {2});
-  e->send_to(ip("8.0.0.2"), 7000, {2});
+  d->send_to(ip("8.0.0.2"), 7000, buf({2}));
+  e->send_to(ip("8.0.0.2"), 7000, buf({2}));
   net.loop().run_until(seconds(12));
   ASSERT_EQ(seen_ports.size(), 2u);
   // Reused external ports from the reclaimed pair...
@@ -350,15 +355,11 @@ TEST(L4PatchTest, UdpRewritePatchesInPlaceAndFixesChecksum) {
   const auto src = ip("10.0.0.2");
   const auto dst = ip("8.0.0.10");
   const auto ext = ip("8.0.0.1");
-  UdpDatagram d;
-  d.src_port = 5555;
-  d.dst_port = 7000;
-  d.payload = {1, 2, 3, 4, 5, 6, 7};
   Ipv4Packet pkt;
   pkt.hdr.proto = IpProto::kUdp;
   pkt.hdr.src = src;
   pkt.hdr.dst = dst;
-  pkt.payload = util::Buffer::wrap(d.encode(src, dst));  // real checksum
+  pkt.payload = udp_wire(5555, 7000, {1, 2, 3, 4, 5, 6, 7}, src, dst);
 
   const std::uint8_t* storage = pkt.payload.data();
   const std::size_t copied =
@@ -369,10 +370,13 @@ TEST(L4PatchTest, UdpRewritePatchesInPlaceAndFixesChecksum) {
   EXPECT_EQ(pkt.hdr.src, ext);
   // The incrementally updated checksum validates against the new
   // pseudo-header, and the ports/payload read back correctly.
-  auto g = UdpDatagram::decode(pkt.payload.view(), ext, dst);
+  EXPECT_EQ(
+      transport_checksum(ext, dst, IpProto::kUdp, pkt.payload.as_span()), 0);
+  auto g = UdpView::parse(pkt.payload.view());
+  EXPECT_NE(g.checksum, 0);
   EXPECT_EQ(g.src_port, 62001);
   EXPECT_EQ(g.dst_port, 7000);
-  EXPECT_EQ(g.payload, d.payload);
+  EXPECT_EQ(g.payload, buf({1, 2, 3, 4, 5, 6, 7}).view());
 }
 
 TEST(L4PatchTest, UdpZeroChecksumStaysZero) {
@@ -380,11 +384,7 @@ TEST(L4PatchTest, UdpZeroChecksumStaysZero) {
   pkt.hdr.proto = IpProto::kUdp;
   pkt.hdr.src = ip("10.0.0.2");
   pkt.hdr.dst = ip("8.0.0.10");
-  UdpDatagram d;
-  d.src_port = 5555;
-  d.dst_port = 7000;
-  d.payload = {9, 9};
-  pkt.payload = util::Buffer::wrap(d.encode());  // checksum 0 = none
+  pkt.payload = udp_wire(5555, 7000, {9, 9});  // checksum 0 = none
   patch_l4_endpoints(pkt, L4Endpoint{ip("8.0.0.1"), 60000}, std::nullopt);
   auto v = UdpView::parse(pkt.payload.view());
   EXPECT_EQ(v.src_port, 60000);
@@ -401,37 +401,31 @@ TEST(L4PatchTest, TcpRewriteKeepsChecksumValid) {
   seg.seq = 1234;
   seg.flags.psh = true;
   seg.flags.ack = true;
-  seg.payload = {0xDE, 0xAD, 0xBE, 0xEF};
   Ipv4Packet pkt;
   pkt.hdr.proto = IpProto::kTcp;
   pkt.hdr.src = src;
   pkt.hdr.dst = dst;
-  pkt.payload = seg.encode_buffer(src, dst, 0);
+  pkt.payload = tcp_wire(seg, {0xDE, 0xAD, 0xBE, 0xEF}, src, dst);
 
   const std::uint8_t* storage = pkt.payload.data();
   EXPECT_EQ(patch_l4_endpoints(pkt, L4Endpoint{ext, 62002}, std::nullopt), 0u);
   EXPECT_EQ(pkt.payload.data(), storage);
-  // decode() re-validates the pseudo-header checksum end to end.
-  auto g = TcpSegment::decode(pkt.payload.view(), ext, dst);
+  // The endpoint parse re-validates the pseudo-header checksum end to end.
+  auto g = TcpView::parse(pkt.payload.view(), ext, dst);
   EXPECT_EQ(g.src_port, 62002);
-  EXPECT_EQ(g.payload, seg.payload);
+  EXPECT_EQ(g.payload, buf({0xDE, 0xAD, 0xBE, 0xEF}).view());
 }
 
 TEST(L4PatchTest, IcmpIdRewriteKeepsChecksumValid) {
-  IcmpMessage m;
-  m.type = IcmpType::kEchoRequest;
-  m.id = 77;
-  m.seq = 3;
-  m.payload = {1, 2, 3};
   Ipv4Packet pkt;
   pkt.hdr.proto = IpProto::kIcmp;
   pkt.hdr.src = ip("10.0.0.2");
   pkt.hdr.dst = ip("8.0.0.10");
-  pkt.payload = util::Buffer::wrap(m.encode());
+  pkt.payload = icmp_onto(buf({1, 2, 3}), IcmpType::kEchoRequest, 0, 77, 3);
   EXPECT_EQ(
       patch_l4_endpoints(pkt, L4Endpoint{ip("8.0.0.1"), 4242}, std::nullopt),
       0u);
-  auto g = IcmpMessage::decode(pkt.payload.view());  // validates checksum
+  auto g = IcmpView::parse(pkt.payload.view());  // validates checksum
   EXPECT_EQ(g.id, 4242);
   EXPECT_EQ(g.seq, 3);
 }
@@ -439,15 +433,11 @@ TEST(L4PatchTest, IcmpIdRewriteKeepsChecksumValid) {
 TEST(L4PatchTest, SharedStorageTriggersCopyOnWrite) {
   // Like buffer_test's shared-prepend case: a rewrite on shared storage
   // must not corrupt the bytes another holder still reads.
-  UdpDatagram d;
-  d.src_port = 5555;
-  d.dst_port = 7000;
-  d.payload = {42, 43, 44};
   Ipv4Packet pkt;
   pkt.hdr.proto = IpProto::kUdp;
   pkt.hdr.src = ip("10.0.0.2");
   pkt.hdr.dst = ip("8.0.0.10");
-  pkt.payload = util::Buffer::wrap(d.encode());
+  pkt.payload = udp_wire(5555, 7000, {42, 43, 44});
   util::Buffer other = pkt.payload.share();  // e.g. a flooded sibling
   ASSERT_EQ(pkt.payload.use_count(), 2);
 
@@ -496,39 +486,33 @@ TEST_F(NatLifetimeFixture, ForwardedPacketCrossesNatWithZeroCopies) {
 // original packet's IP header plus its first `quote_l4` payload bytes.
 Ipv4Packet make_icmp_error(const Ipv4Packet& original, IcmpType type,
                            std::uint8_t code, Ipv4Address router_ip) {
-  IcmpMessage msg;
-  msg.type = type;
-  msg.code = code;
   const std::size_t quote_l4 =
       std::min<std::size_t>(original.payload.size(), 8);
-  std::vector<std::uint8_t> quoted(Ipv4Header::kSize + quote_l4);
+  auto quoted = util::Buffer::allocate(Ipv4Header::kSize + quote_l4,
+                                       util::kPacketHeadroom);
   Ipv4Packet::encode_header(quoted.data(), original.hdr,
                             original.total_length());
   std::copy_n(original.payload.begin(), quote_l4,
-              quoted.begin() + Ipv4Header::kSize);
-  msg.payload = std::move(quoted);
+              quoted.data() + Ipv4Header::kSize);
   Ipv4Packet err;
   err.hdr.proto = IpProto::kIcmp;
   err.hdr.src = router_ip;
   err.hdr.dst = original.hdr.src;
-  err.payload = msg.encode_buffer(util::kPacketHeadroom);
+  err.payload = icmp_onto(std::move(quoted), type, code, 0, 0);
   return err;
 }
 
 Ipv4Packet make_udp_packet(Ipv4Address src, std::uint16_t sport,
                            Ipv4Address dst, std::uint16_t dport,
                            bool with_checksum) {
-  UdpDatagram d;
-  d.src_port = sport;
-  d.dst_port = dport;
   // Empty payload: the 8-byte UDP header is quoted in full, so the quoted
   // transport checksum can be re-validated end to end after the patch.
   Ipv4Packet pkt;
   pkt.hdr.proto = IpProto::kUdp;
   pkt.hdr.src = src;
   pkt.hdr.dst = dst;
-  pkt.payload = util::Buffer::wrap(with_checksum ? d.encode(src, dst)
-                                                 : d.encode());
+  pkt.payload = with_checksum ? udp_wire(sport, dport, {}, src, dst)
+                              : udp_wire(sport, dport, {});
   return pkt;
 }
 
@@ -705,17 +689,13 @@ TEST_P(TracerouteFixture, EchoFlowErrorsAreTranslatedToo) {
   // orphan every echo-flow error.
   int errors = 0;
   inside->stack().set_icmp_error_handler(
-      [&](Ipv4Address, const IcmpMessage&) { ++errors; });
-  IcmpMessage echo;
-  echo.type = IcmpType::kEchoRequest;
-  echo.id = 321;
-  echo.seq = 1;
-  echo.payload = {1, 2, 3, 4};
+      [&](Ipv4Address, const IcmpView&) { ++errors; });
   Ipv4Packet pkt;
   pkt.hdr.proto = IpProto::kIcmp;
   pkt.hdr.ttl = 2;  // expires at r1, one hop beyond the NAT
   pkt.hdr.dst = ip("9.0.0.2");
-  pkt.payload = echo.encode_buffer(util::kPacketHeadroom);
+  pkt.payload =
+      icmp_onto(buf({1, 2, 3, 4}), IcmpType::kEchoRequest, 0, 321, 1);
   inside->stack().send_ip(std::move(pkt));
   net.loop().run_until(seconds(2));
   EXPECT_EQ(errors, 1);
@@ -729,7 +709,7 @@ TEST_P(TracerouteFixture, RestoresDisplacedIcmpErrorHandler) {
   // otherwise go silent after the first trace.
   int app_errors = 0;
   inside->stack().set_icmp_error_handler(
-      [&](Ipv4Address, const IcmpMessage&) { ++app_errors; });
+      [&](Ipv4Address, const IcmpView&) { ++app_errors; });
   Traceroute tr(inside->stack());
   bool done = false;
   tr.run(ip("9.0.0.2"), {}, [&](TracerouteResult) { done = true; });
@@ -739,13 +719,10 @@ TEST_P(TracerouteFixture, RestoresDisplacedIcmpErrorHandler) {
 
   // A fresh unreachable (closed port beyond the NAT) lands in the
   // restored application handler.
-  UdpDatagram d;
-  d.src_port = 50000;
-  d.dst_port = 9998;
   Ipv4Packet probe;
   probe.hdr.proto = IpProto::kUdp;
   probe.hdr.dst = ip("9.0.0.2");
-  probe.payload = util::Buffer::wrap(d.encode());
+  probe.payload = udp_wire(50000, 9998, {});
   inside->stack().send_ip(std::move(probe));
   net.loop().run_until(seconds(25));
   EXPECT_EQ(app_errors, 1);
@@ -884,9 +861,9 @@ TEST_F(NatTcpFixture, ForgedIcmpErrorQuotingUncontactedDestinationDropped) {
   // name a destination the mapping never contacted.
   auto server_sock = outside->stack().udp_bind(7000);
   server_sock->set_receive_handler(
-      [](Ipv4Address, std::uint16_t, std::vector<std::uint8_t>) {});
+      [](Ipv4Address, std::uint16_t, util::Buffer) {});
   auto client = inside->stack().udp_bind(5555);
-  client->send_to(ip("8.0.0.2"), 7000, {1});
+  client->send_to(ip("8.0.0.2"), 7000, buf({1}));
   net.loop().run_until(seconds(1));
   ASSERT_EQ(nat->mapping_count(), 1u);  // ext port 65535
 
@@ -907,7 +884,7 @@ TEST_F(NatTcpFixture, ZeroUdpChecksumSurvivesNatRewrite) {
   auto server_sock = outside->stack().udp_bind(7000);
   int received = 0;
   server_sock->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t, std::vector<std::uint8_t>) {
+      [&](Ipv4Address, std::uint16_t, util::Buffer) {
         ++received;
       });
   std::vector<std::uint16_t> seen_checksums;
@@ -919,7 +896,7 @@ TEST_F(NatTcpFixture, ZeroUdpChecksumSurvivesNatRewrite) {
         return true;
       });
   auto client = inside->stack().udp_bind(5555);
-  client->send_to(ip("8.0.0.2"), 7000, {1, 2, 3});
+  client->send_to(ip("8.0.0.2"), 7000, buf({1, 2, 3}));
   net.loop().run_until(seconds(2));
   ASSERT_EQ(received, 1);
   ASSERT_EQ(seen_checksums.size(), 1u);
@@ -961,14 +938,14 @@ struct FirewallFixture : ::testing::Test {
 TEST_F(FirewallFixture, OutboundAllowedRepliesTracked) {
   auto server = out_host->stack().udp_bind(5000);
   server->set_receive_handler(
-      [&](Ipv4Address src, std::uint16_t sport, std::vector<std::uint8_t> d) {
+      [&](Ipv4Address src, std::uint16_t sport, util::Buffer d) {
         server->send_to(src, sport, std::move(d));
       });
   auto client = in_host->stack().udp_bind(0);
   int got = 0;
   client->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t, std::vector<std::uint8_t>) { ++got; });
-  client->send_to(ip("8.1.0.2"), 5000, {1});
+      [&](Ipv4Address, std::uint16_t, util::Buffer) { ++got; });
+  client->send_to(ip("8.1.0.2"), 5000, buf({1}));
   net.loop().run_until(seconds(2));
   EXPECT_EQ(got, 1);
   EXPECT_GE(fw->stats().allowed_in_established, 1u);
@@ -978,9 +955,9 @@ TEST_F(FirewallFixture, UnsolicitedInboundBlocked) {
   auto server = in_host->stack().udp_bind(5000);
   int got = 0;
   server->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t, std::vector<std::uint8_t>) { ++got; });
+      [&](Ipv4Address, std::uint16_t, util::Buffer) { ++got; });
   auto probe = out_host->stack().udp_bind(0);
-  probe->send_to(ip("192.168.0.2"), 5000, {1});
+  probe->send_to(ip("192.168.0.2"), 5000, buf({1}));
   net.loop().run_until(seconds(2));
   EXPECT_EQ(got, 0);
   EXPECT_GE(fw->stats().blocked_in, 1u);
@@ -1017,12 +994,12 @@ TEST_F(FirewallFixture, OutboundDefaultDenyWithAllowList) {
   auto s6000 = out_host->stack().udp_bind(6000);
   int got5000 = 0, got6000 = 0;
   s5000->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t, std::vector<std::uint8_t>) { ++got5000; });
+      [&](Ipv4Address, std::uint16_t, util::Buffer) { ++got5000; });
   s6000->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t, std::vector<std::uint8_t>) { ++got6000; });
+      [&](Ipv4Address, std::uint16_t, util::Buffer) { ++got6000; });
   auto client = in_host->stack().udp_bind(0);
-  client->send_to(ip("8.1.0.2"), 5000, {1});
-  client->send_to(ip("8.1.0.2"), 6000, {1});
+  client->send_to(ip("8.1.0.2"), 5000, buf({1}));
+  client->send_to(ip("8.1.0.2"), 6000, buf({1}));
   net.loop().run_until(seconds(2));
   EXPECT_EQ(got5000, 1);
   EXPECT_EQ(got6000, 0);
@@ -1065,9 +1042,9 @@ TEST_F(FirewallConntrackFixture, IdleEntriesExpireAndTableStaysBounded) {
   // forever.
   auto server = out_host->stack().udp_bind(5000);
   server->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t, std::vector<std::uint8_t>) {});
+      [&](Ipv4Address, std::uint16_t, util::Buffer) {});
   auto client = in_host->stack().udp_bind(6000);
-  client->send_to(ip("8.1.0.2"), 5000, {1});
+  client->send_to(ip("8.1.0.2"), 5000, buf({1}));
   net.loop().run_until(seconds(1));
   EXPECT_EQ(fw->conntrack_count(), 1u);
 
@@ -1079,7 +1056,7 @@ TEST_F(FirewallConntrackFixture, IdleEntriesExpireAndTableStaysBounded) {
 
   // A late "reply" no longer matches established state.
   const auto blocked_before = fw->stats().blocked_in;
-  server->send_to(ip("192.168.0.2"), 6000, {2});
+  server->send_to(ip("192.168.0.2"), 6000, buf({2}));
   net.loop().run_until(seconds(12));
   EXPECT_EQ(fw->stats().blocked_in, blocked_before + 1);
 }
@@ -1141,8 +1118,7 @@ TEST_F(FirewallConntrackFixture, FreshSynNeverRidesATrackedEntry) {
     pkt.hdr.proto = IpProto::kTcp;
     pkt.hdr.src = ip("8.1.0.2");
     pkt.hdr.dst = ip("192.168.0.2");
-    pkt.payload = syn.encode_buffer(pkt.hdr.src, pkt.hdr.dst,
-                                    util::kPacketHeadroom);
+    pkt.payload = tcp_wire(syn, {}, pkt.hdr.src, pkt.hdr.dst);
     out_host->stack().send_ip(std::move(pkt));
   };
 
@@ -1172,7 +1148,7 @@ TEST_F(FirewallConntrackFixture, RelatedIcmpErrorAdmittedForTrackedFlow) {
   // port-unreachable is inbound at the firewall and carries no tracked
   // 5-tuple of its own — it must pass on the strength of its quote.
   auto client = in_host->stack().udp_bind(6000);
-  client->send_to(ip("8.1.0.2"), 9999, {1});
+  client->send_to(ip("8.1.0.2"), 9999, buf({1}));
   net.loop().run_until(seconds(2));
   EXPECT_GE(fw->stats().allowed_related, 1u);
   EXPECT_EQ(in_host->stack().counters().icmp_errors_delivered, 1u);

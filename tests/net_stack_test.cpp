@@ -4,9 +4,14 @@
 
 #include "net/ping.hpp"
 #include "net/topology.hpp"
+#include "wire_builders.hpp"
 
 namespace ipop::net {
 namespace {
+
+using test::buf;
+using test::tcp_wire;
+using test::udp_wire;
 
 using util::milliseconds;
 using util::seconds;
@@ -33,7 +38,7 @@ struct LanFixture : ::testing::Test {
 TEST_F(LanFixture, ArpResolutionThenEcho) {
   int replies = 0;
   a->stack().set_echo_reply_handler(
-      [&](Ipv4Address src, const IcmpMessage&) {
+      [&](Ipv4Address src, const IcmpView&) {
         EXPECT_EQ(src, ip("10.0.0.2"));
         ++replies;
       });
@@ -46,7 +51,7 @@ TEST_F(LanFixture, ArpResolutionThenEcho) {
 TEST_F(LanFixture, SecondEchoSkipsArp) {
   int replies = 0;
   a->stack().set_echo_reply_handler(
-      [&](Ipv4Address, const IcmpMessage&) { ++replies; });
+      [&](Ipv4Address, const IcmpView&) { ++replies; });
   a->stack().send_echo_request(ip("10.0.0.2"), 1, 1);
   net.loop().run_until(seconds(1));
   const auto t0 = net.loop().now();
@@ -64,11 +69,11 @@ TEST_F(LanFixture, ArpForUnknownHostFailsAfterRetries) {
 TEST_F(LanFixture, UdpDelivery) {
   auto rx = b->stack().udp_bind(5000);
   ASSERT_NE(rx, nullptr);
-  std::vector<std::uint8_t> got;
+  util::Buffer got;
   Ipv4Address got_src;
   std::uint16_t got_port = 0;
   rx->set_receive_handler(
-      [&](Ipv4Address src, std::uint16_t sport, std::vector<std::uint8_t> d) {
+      [&](Ipv4Address src, std::uint16_t sport, util::Buffer d) {
         got_src = src;
         got_port = sport;
         got = std::move(d);
@@ -76,9 +81,9 @@ TEST_F(LanFixture, UdpDelivery) {
   auto tx = a->stack().udp_bind(0);
   ASSERT_NE(tx, nullptr);
   EXPECT_GE(tx->port(), 32768);
-  tx->send_to(ip("10.0.0.2"), 5000, {1, 2, 3});
+  tx->send_to(ip("10.0.0.2"), 5000, buf({1, 2, 3}));
   net.loop().run_until(seconds(2));
-  EXPECT_EQ(got, (std::vector<std::uint8_t>{1, 2, 3}));
+  EXPECT_EQ(got.view(), buf({1, 2, 3}).view());
   EXPECT_EQ(got_src, ip("10.0.0.1"));
   EXPECT_EQ(got_port, tx->port());
 }
@@ -87,14 +92,14 @@ TEST_F(LanFixture, UdpBidirectional) {
   auto sa = a->stack().udp_bind(1000);
   auto sb = b->stack().udp_bind(2000);
   int a_got = 0, b_got = 0;
-  sa->set_receive_handler([&](Ipv4Address, std::uint16_t,
-                              std::vector<std::uint8_t>) { ++a_got; });
+  sa->set_receive_handler(
+      [&](Ipv4Address, std::uint16_t, util::Buffer) { ++a_got; });
   sb->set_receive_handler(
-      [&](Ipv4Address src, std::uint16_t sport, std::vector<std::uint8_t>) {
+      [&](Ipv4Address src, std::uint16_t sport, util::Buffer) {
         ++b_got;
-        sb->send_to(src, sport, {42});
+        sb->send_to(src, sport, buf({42}));
       });
-  sa->send_to(ip("10.0.0.2"), 2000, {1});
+  sa->send_to(ip("10.0.0.2"), 2000, buf({1}));
   net.loop().run_until(seconds(2));
   EXPECT_EQ(b_got, 1);
   EXPECT_EQ(a_got, 1);
@@ -103,13 +108,13 @@ TEST_F(LanFixture, UdpBidirectional) {
 TEST_F(LanFixture, UdpToClosedPortTriggersIcmpUnreachable) {
   int errors = 0;
   a->stack().set_icmp_error_handler(
-      [&](Ipv4Address, const IcmpMessage& msg) {
+      [&](Ipv4Address, const IcmpView& msg) {
         EXPECT_EQ(msg.type, IcmpType::kDestUnreachable);
         EXPECT_EQ(msg.code, 3);
         ++errors;
       });
   auto tx = a->stack().udp_bind(0);
-  tx->send_to(ip("10.0.0.2"), 4444, {1});
+  tx->send_to(ip("10.0.0.2"), 4444, buf({1}));
   net.loop().run_until(seconds(2));
   EXPECT_EQ(errors, 1);
 }
@@ -118,37 +123,94 @@ TEST_F(LanFixture, UdpBadChecksumDroppedGoodChecksumDelivered) {
   auto rx = b->stack().udp_bind(5000);
   int got = 0;
   rx->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t, std::vector<std::uint8_t>) { ++got; });
+      [&](Ipv4Address, std::uint16_t, util::Buffer) { ++got; });
+  auto send = [&](util::Buffer datagram) {
+    Ipv4Packet pkt;
+    pkt.hdr.proto = IpProto::kUdp;
+    pkt.hdr.src = ip("10.0.0.1");
+    pkt.hdr.dst = ip("10.0.0.2");
+    pkt.payload = std::move(datagram);
+    a->stack().send_ip(std::move(pkt));
+  };
 
   // A datagram with a valid pseudo-header checksum is delivered.
-  UdpDatagram d;
-  d.src_port = 4000;
-  d.dst_port = 5000;
-  d.payload = {1, 2, 3};
-  Ipv4Packet good;
-  good.hdr.proto = IpProto::kUdp;
-  good.hdr.src = ip("10.0.0.1");
-  good.hdr.dst = ip("10.0.0.2");
-  good.payload =
-      util::Buffer::wrap(d.encode(good.hdr.src, good.hdr.dst));
-  a->stack().send_ip(std::move(good));
+  send(udp_wire(4000, 5000, {1, 2, 3}, ip("10.0.0.1"), ip("10.0.0.2")));
   net.loop().run_until(seconds(1));
   EXPECT_EQ(got, 1);
 
   // The same datagram with a corrupted nonzero checksum is dropped and
   // counted — it must not be silently accepted as it used to be.
-  auto bytes = d.encode(ip("10.0.0.1"), ip("10.0.0.2"));
-  bytes[6] ^= 0x5A;
-  Ipv4Packet bad;
-  bad.hdr.proto = IpProto::kUdp;
-  bad.hdr.src = ip("10.0.0.1");
-  bad.hdr.dst = ip("10.0.0.2");
-  bad.payload = util::Buffer::wrap(std::move(bytes));
+  auto bad = udp_wire(4000, 5000, {1, 2, 3}, ip("10.0.0.1"), ip("10.0.0.2"));
+  bad[6] ^= 0x5A;
   const auto dropped_before = b->stack().counters().dropped_checksum;
-  a->stack().send_ip(std::move(bad));
+  send(std::move(bad));
   net.loop().run_until(seconds(2));
   EXPECT_EQ(got, 1);
   EXPECT_EQ(b->stack().counters().dropped_checksum, dropped_before + 1);
+
+  // Checksum 0 means "not computed" (RFC 768): delivered unvalidated,
+  // even though the bytes would not sum to a valid checksum.
+  const auto zero = udp_wire(4000, 5000, {0xFF, 0x00, 0xFF});
+  ASSERT_NE(transport_checksum(ip("10.0.0.1"), ip("10.0.0.2"), IpProto::kUdp,
+                               zero.as_span()),
+            0);
+  send(zero.share());
+  net.loop().run_until(seconds(3));
+  EXPECT_EQ(got, 2);
+  EXPECT_EQ(b->stack().counters().dropped_checksum, dropped_before + 1);
+}
+
+TEST_F(LanFixture, TcpChecksumFailuresDroppedBeforeSocketOrListener) {
+  auto listener = b->stack().tcp_listen(80);
+  std::shared_ptr<TcpSocket> server;
+  listener->set_accept_handler(
+      [&](std::shared_ptr<TcpSocket> s) { server = std::move(s); });
+  auto client = a->stack().tcp_connect(ip("10.0.0.2"), 80);
+  net.loop().run_until(seconds(1));
+  ASSERT_NE(server, nullptr);
+
+  auto inject = [&](util::Buffer segment) {
+    Ipv4Packet pkt;
+    pkt.hdr.proto = IpProto::kTcp;
+    pkt.hdr.src = ip("10.0.0.1");
+    pkt.hdr.dst = ip("10.0.0.2");
+    pkt.payload = std::move(segment);
+    a->stack().send_ip(std::move(pkt));
+    net.loop().run_until(net.loop().now() + milliseconds(100));
+  };
+  const StackCounters& c = b->stack().counters();
+  const auto tx0 = c.ip_tx;
+  const auto received0 = server->stats().segments_received;
+  auto dropped = c.dropped_parse;
+
+  // A data segment on the open connection and a SYN for the listener.
+  TcpSegment data;
+  data.src_port = client->local_port();
+  data.dst_port = 80;
+  data.seq = 12345;
+  data.flags.ack = true;
+  TcpSegment syn;
+  syn.src_port = 40000;
+  syn.dst_port = 80;
+  syn.flags.syn = true;
+  for (const TcpSegment& hdr : {data, syn}) {
+    auto corrupted = tcp_wire(hdr, {1, 2, 3}, ip("10.0.0.1"), ip("10.0.0.2"));
+    corrupted[TcpView::kChecksumOffset] ^= 0x5A;
+    inject(std::move(corrupted));
+    EXPECT_EQ(c.dropped_parse, ++dropped);
+    // Sound bytes, but summed over a pseudo-header with the wrong dst.
+    inject(tcp_wire(hdr, {1, 2, 3}, ip("10.0.0.1"), ip("10.0.0.3")));
+    EXPECT_EQ(c.dropped_parse, ++dropped);
+  }
+  // Neither reached the socket or the listener: nothing was answered.
+  EXPECT_EQ(server->stats().segments_received, received0);
+  EXPECT_EQ(c.ip_tx, tx0);
+
+  // Control: the same SYN, soundly summed, reaches the listener, which
+  // answers with a SYN-ACK.
+  inject(tcp_wire(syn, {}, ip("10.0.0.1"), ip("10.0.0.2")));
+  EXPECT_EQ(c.dropped_parse, dropped);
+  EXPECT_GT(c.ip_tx, tx0);
 }
 
 TEST_F(LanFixture, DuplicateUdpBindRejected) {
@@ -165,9 +227,9 @@ TEST_F(LanFixture, LoopbackDelivery) {
   auto rx = a->stack().udp_bind(6000);
   int got = 0;
   rx->set_receive_handler(
-      [&](Ipv4Address, std::uint16_t, std::vector<std::uint8_t>) { ++got; });
+      [&](Ipv4Address, std::uint16_t, util::Buffer) { ++got; });
   auto tx = a->stack().udp_bind(0);
-  tx->send_to(ip("10.0.0.1"), 6000, {1});
+  tx->send_to(ip("10.0.0.1"), 6000, buf({1}));
   net.loop().run_until(seconds(1));
   EXPECT_EQ(got, 1);
 }
@@ -225,7 +287,7 @@ struct RoutedFixture : ::testing::Test {
 TEST_F(RoutedFixture, EndToEndEchoAcrossRouters) {
   int replies = 0;
   a->stack().set_echo_reply_handler(
-      [&](Ipv4Address, const IcmpMessage&) { ++replies; });
+      [&](Ipv4Address, const IcmpView&) { ++replies; });
   a->stack().send_echo_request(ip("10.3.0.1"), 9, 1);
   net.loop().run_until(seconds(5));
   EXPECT_EQ(replies, 1);
@@ -251,20 +313,17 @@ TEST_F(RoutedFixture, RttReflectsLinkDelays) {
 TEST_F(RoutedFixture, TtlExpiryGeneratesTimeExceeded) {
   int time_exceeded = 0;
   a->stack().set_icmp_error_handler(
-      [&](Ipv4Address src, const IcmpMessage& msg) {
+      [&](Ipv4Address src, const IcmpView& msg) {
         if (msg.type == IcmpType::kTimeExceeded) {
           EXPECT_EQ(src, ip("10.2.0.2"));  // expired at r2
           ++time_exceeded;
         }
       });
-  IcmpMessage echo;
-  echo.type = IcmpType::kEchoRequest;
-  echo.id = 5;
   Ipv4Packet pkt;
   pkt.hdr.proto = IpProto::kIcmp;
   pkt.hdr.dst = ip("10.3.0.1");
   pkt.hdr.ttl = 2;  // dies at the second router
-  pkt.payload = util::Buffer::wrap(echo.encode());
+  pkt.payload = icmp_onto(util::Buffer{}, IcmpType::kEchoRequest, 0, 5, 0);
   a->stack().send_ip(std::move(pkt));
   net.loop().run_until(seconds(5));
   EXPECT_EQ(time_exceeded, 1);
@@ -273,7 +332,7 @@ TEST_F(RoutedFixture, TtlExpiryGeneratesTimeExceeded) {
 TEST_F(RoutedFixture, NoRouteGeneratesDestUnreachable) {
   int unreachable = 0;
   a->stack().set_icmp_error_handler(
-      [&](Ipv4Address, const IcmpMessage& msg) {
+      [&](Ipv4Address, const IcmpView& msg) {
         if (msg.type == IcmpType::kDestUnreachable) ++unreachable;
       });
   a->stack().send_echo_request(ip("99.99.99.99"), 1, 1);
@@ -288,11 +347,7 @@ TEST_F(RoutedFixture, MtuExceededDropsPacket) {
   Ipv4Packet pkt;
   pkt.hdr.proto = IpProto::kUdp;
   pkt.hdr.dst = ip("10.3.0.1");
-  UdpDatagram d;
-  d.src_port = 1;
-  d.dst_port = 2;
-  d.payload.assign(2000, 0xAA);
-  pkt.payload = util::Buffer::wrap(d.encode());
+  pkt.payload = udp_wire(1, 2, std::vector<std::uint8_t>(2000, 0xAA));
   const auto before = a->stack().counters().dropped_mtu;
   a->stack().send_ip(std::move(pkt));
   net.loop().run_until(seconds(1));
@@ -338,9 +393,9 @@ TEST_F(LanFixture, UdpBatchSharesPayloadAcrossDatagrams) {
   auto handler = [&](Ipv4Address, std::uint16_t, util::Buffer data) {
     got.push_back(data.to_vector());
   };
-  rx1->set_receive_handler(UdpSocket::BufferReceiveHandler(handler));
-  rx2->set_receive_handler(UdpSocket::BufferReceiveHandler(handler));
-  rx3->set_receive_handler(UdpSocket::BufferReceiveHandler(handler));
+  rx1->set_receive_handler(handler);
+  rx2->set_receive_handler(handler);
+  rx3->set_receive_handler(handler);
 
   auto tx = a->stack().udp_bind(5000);
   // One shared payload buffer; each datagram gets its own 4-byte header
@@ -389,8 +444,8 @@ TEST_F(LanFixture, BatchAgainstClosedSocketIsDroppedSafely) {
 TEST_F(LanFixture, ReceiverClosedWhileBatchInFlightDoesNotDeliver) {
   auto rx = b->stack().udp_bind(7001);
   int delivered = 0;
-  rx->set_receive_handler(UdpSocket::BufferReceiveHandler(
-      [&](Ipv4Address, std::uint16_t, util::Buffer) { ++delivered; }));
+  rx->set_receive_handler(
+      [&](Ipv4Address, std::uint16_t, util::Buffer) { ++delivered; });
   auto tx = a->stack().udp_bind(5000);
   std::vector<UdpSendItem> items;
   for (int i = 0; i < 3; ++i) {

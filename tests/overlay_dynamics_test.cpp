@@ -242,7 +242,7 @@ TEST(PlanetLabTopology, BuildsRequestedNodeCountWithLoads) {
   // All pairwise physically reachable through the core.
   int replies = 0;
   tb.hosts[3]->stack().set_echo_reply_handler(
-      [&](net::Ipv4Address, const net::IcmpMessage&) { ++replies; });
+      [&](net::Ipv4Address, const net::IcmpView&) { ++replies; });
   tb.hosts[3]->stack().send_echo_request(tb.ips[20], 1, 1);
   tb.net->loop().run_until(seconds(5));
   EXPECT_EQ(replies, 1);
@@ -257,7 +257,7 @@ TEST(PlanetLabTopology, AccessDelaysWithinConfiguredRange) {
   // RTT between two hosts = 2 x (d_a + d_b) + processing, with d in
   // [10ms, 80ms] -> RTT in [40ms, 330ms].
   tb.hosts[1]->stack().set_echo_reply_handler(
-      [&](net::Ipv4Address, const net::IcmpMessage&) {});
+      [&](net::Ipv4Address, const net::IcmpView&) {});
   net::Pinger pinger(tb.hosts[1]->stack());
   net::Pinger::Options popts;
   popts.count = 10;
@@ -286,7 +286,7 @@ TEST(IpAlias, AliasAnswersEcho) {
   a.stack().add_static_arp(0, ip("10.0.0.99"), b.stack().interface_mac(0));
   int replies = 0;
   a.stack().set_echo_reply_handler(
-      [&](net::Ipv4Address src, const net::IcmpMessage&) {
+      [&](net::Ipv4Address src, const net::IcmpView&) {
         EXPECT_EQ(src, ip("10.0.0.99"));
         ++replies;
       });

@@ -15,6 +15,7 @@ Suites:
          (bytes_copied_* = 0, and the sealed tunnel path's
          payload_bytes_copied = 0 on both seal and open), the event
          engine's allocation-free delivery (allocs_per_event = 0), the
+         TCP endpoint's allocation-free receive (allocs_per_segment = 0), the
          sendmmsg amortization (datagrams_per_syscall) against the committed
          BENCH_micro_core.json, and the per-packet crypto cost bound
          (full-MTU seal/open at most 2x a 64-byte frame — crypto cost
@@ -91,6 +92,11 @@ SUITES = {
             # the key heap and arena are recycled, so a steady-state
             # event allocates nothing.
             (r"^BM_EventLoopDeliver$", "allocs_per_event"),
+            # The TCP endpoint's receive step: the pseudo-header checksum
+            # is summed over the segment in place and the header parsed
+            # as a view, so a received segment allocates nothing (the
+            # retired struct codec staged and copied it: 2 per segment).
+            (r"^BM_TcpSegmentReceive$", "allocs_per_segment"),
         ],
         # (name regex, counter, absolute floor): fresh must be >= floor.
         "floor": [

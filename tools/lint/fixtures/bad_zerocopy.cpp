@@ -1,7 +1,8 @@
 // lint-fixture-path: src/net/fixture_zerocopy.cpp
 //
 // Known-bad zero-copy snippets: every deep copy of packet bytes on the
-// hot path must fire, header-field copies and allowlisted lines must not.
+// hot path must fire, header-field copies and allowlisted lines must not,
+// and a pragma that suppresses nothing must fire as lint-pragma.
 // NOT part of the build — compiled only by `tools/lint/run.py --self-test`.
 #include <algorithm>
 #include <cstring>
@@ -42,6 +43,12 @@ inline void deep_copies(Packet& pkt, const Packet& src, Chain& chain,
 inline void allowlisted(Packet& pkt) {
   // The pragma (with a reason) silences the rule on its line:
   pkt.payload = pkt.payload.clone();  // lint:allow(zero-copy): explicit COW before an in-place patch
+}
+
+inline void orphaned_pragma(Packet& pkt) {
+  // A pragma whose rule fires on no line it covers (the copy it excused
+  // is gone) is itself reported:
+  pkt.payload = Buffer{};  // lint:allow(zero-copy): legacy copy  expect(lint-pragma)
 }
 
 }  // namespace fixture

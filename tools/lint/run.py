@@ -55,6 +55,8 @@ Per-line allowlist pragma (a reason is required):
 
 A pragma on its own line applies to the next line of code; multiple
 rules may be listed comma-separated: ``lint:allow(zero-copy,determinism): why``.
+A pragma whose rule fires on no line it covers is itself a finding
+(``lint-pragma``): an exception outlives nothing it excuses.
 
 Engines: when the Python libclang bindings (clang.cindex) are importable
 and a libclang shared object is found, range-for container types are
@@ -183,6 +185,7 @@ class SourceFile:
     raw: str
     blanked: str = ""  # comments and string/char literals replaced by spaces
     allow: dict = field(default_factory=dict)   # line -> set of rules
+    allow_origin: dict = field(default_factory=dict)  # (line, rule) -> pragma line
     comments: dict = field(default_factory=dict)  # line -> comment text
 
     @property
@@ -286,6 +289,8 @@ def parse_allow_pragmas(sf: SourceFile, findings: list):
                 nxt += 1
             target = nxt
         sf.allow.setdefault(target, set()).update(rules)
+        for rule in rules:
+            sf.allow_origin[(target, rule)] = ln
 
 
 def load_source(path: str, repo_rel: str) -> SourceFile:
@@ -687,20 +692,28 @@ def lint_sources(sources, engine, cindex=None, cc_map=None):
         check_timer_lifetime(sf, findings)
         check_shard_affinity(sf, findings)
 
+    by_path = {sf.path: sf for sf in sources}
     kept = []
+    used = set()  # (path, line, rule) allowances that suppressed a finding
     for f in findings:
-        allowed = f.rule in sf_allow(sources, f.path).get(f.line, set())
+        sf = by_path.get(f.path)
+        allowed = sf is not None and f.rule in sf.allow.get(f.line, set())
         if f.rule == "lint-pragma" or not allowed:
             kept.append(f)
+        else:
+            used.add((f.path, f.line, f.rule))
+    # A pragma that suppresses nothing is a standing exception to an
+    # invariant with nothing behind it (typically the code it excused was
+    # deleted): report it so it goes too.
+    for sf in sources:
+        for (line, rule), origin in sorted(sf.allow_origin.items()):
+            if (sf.path, line, rule) not in used:
+                kept.append(Finding(
+                    sf.path, origin, "lint-pragma",
+                    f"lint:allow({rule}) suppresses nothing — no [{rule}] "
+                    "finding on the line it covers; delete the pragma"))
     kept.sort(key=lambda f: (f.path, f.line, f.rule))
     return kept
-
-
-def sf_allow(sources, path):
-    for sf in sources:
-        if sf.path == path:
-            return sf.allow
-    return {}
 
 
 # --- self-test --------------------------------------------------------------
