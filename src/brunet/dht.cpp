@@ -24,6 +24,11 @@ void encode_record_fields(util::ByteWriter& w, const Record& rec) {
   }
   w.lp_bytes(rec.value.as_span());
 }
+
+/// True when `resp` arrived and leads with status byte `st`.
+bool answered(const std::optional<Packet>& resp, std::uint8_t st) {
+  return resp && !resp->payload().empty() && resp->payload()[0] == st;
+}
 }  // namespace
 
 std::vector<std::uint8_t> Record::signed_bytes(const Address& key) const {
@@ -63,8 +68,7 @@ bool Record::verify(const Address& key) const {
   return util::crypto::verify(owner, signed_bytes(key), sig);
 }
 
-Dht::Dht(BrunetNode& node, DhtConfig cfg)
-    : node_(node), cfg_(cfg), alive_(std::make_shared<bool>(true)) {
+Dht::Dht(BrunetNode& node, DhtConfig cfg) : node_(node), cfg_(cfg) {
   node_.set_handler(PacketType::kDhtRequest,
                     [this](const Packet& pkt) { handle_request(pkt); });
   republish_timer_ = node_.host().loop().schedule_after(
@@ -72,8 +76,8 @@ Dht::Dht(BrunetNode& node, DhtConfig cfg)
   // Churn hooks: a dead connection may have held replicas of our records;
   // a graceful departure hands every record onward before edges drop.
   node_.add_connection_lost_observer(
-      [this, alive = std::weak_ptr<bool>(alive_)](const Address& lost) {
-        if (alive.expired()) return;
+      [this, alive = alive_.guard()](const Address& lost) {
+        if (!alive) return;
         // The departed peer may come back (same overlay address after a
         // crash/rejoin): clear the handoff stamps aimed at it so the
         // republish tick re-sends the records it lost, instead of
@@ -83,14 +87,13 @@ Dht::Dht(BrunetNode& node, DhtConfig cfg)
         }
         schedule_rereplication();
       });
-  node_.add_departure_hook([this, alive = std::weak_ptr<bool>(alive_)] {
-    if (alive.expired()) return;
+  node_.add_departure_hook([this, alive = alive_.guard()] {
+    if (!alive) return;
     handoff_all();
   });
 }
 
 Dht::~Dht() {
-  stopped_ = true;
   auto& loop = node_.host().loop();
   if (republish_timer_ != 0) loop.cancel(republish_timer_);
   if (rereplicate_timer_ != 0) loop.cancel(rereplicate_timer_);
@@ -129,8 +132,7 @@ void Dht::put(const Key& key, Record rec, PutCallback cb) {
   node_.request(key, PacketType::kDhtRequest, RoutingMode::kClosest,
                 encode_record(Op::kPut, key, rec),
                 [cb = std::move(cb)](std::optional<Packet> resp) {
-                  if (cb) cb(resp.has_value() && !resp->payload().empty() &&
-                             resp->payload()[0] == kOk);
+                  if (cb) cb(answered(resp, kOk));
                 });
 }
 
@@ -142,15 +144,7 @@ void Dht::release(const Key& key, PutCallback cb) {
     if (cb) cb(false);
     return;
   }
-  ++stats_.puts;
-  Record rec;  // empty value = release
-  finalize_outgoing(key, rec);
-  node_.request(key, PacketType::kDhtRequest, RoutingMode::kClosest,
-                encode_record(Op::kPut, key, rec),
-                [cb = std::move(cb)](std::optional<Packet> resp) {
-                  if (cb) cb(resp.has_value() && !resp->payload().empty() &&
-                             resp->payload()[0] == kOk);
-                });
+  put(key, Record{}, std::move(cb));  // empty value = release
 }
 
 void Dht::create(const Key& key, Record rec, PutCallback cb) {
@@ -168,25 +162,23 @@ void Dht::create_attempt(const Key& key, Record rec, int retries_left,
       key, PacketType::kDhtRequest, RoutingMode::kClosest,
       encode_record(Op::kCreate, key, wire),
       [this, key, rec = std::move(rec), retries_left, cb = std::move(cb),
-       alive = std::weak_ptr<bool>(alive_)](std::optional<Packet> resp) mutable {
-        if (alive.expired()) return;
+       alive = alive_.guard()](std::optional<Packet> resp) mutable {
+        if (!alive) return;
         // kRetry means delivery hit a node too young to decide (its miss
         // is not authoritative); the claim itself is still undecided, so
         // back off and re-ask rather than reporting a conflict.
-        if (resp && !resp->payload().empty() && resp->payload()[0] == kRetry &&
-            retries_left > 0 && !stopped_) {
+        if (answered(resp, kRetry) && retries_left > 0) {
           node_.host().loop().schedule_after(
               cfg_.create_retry_delay,
               [this, key, rec = std::move(rec), retries_left,
                cb = std::move(cb), alive2 = std::move(alive)]() mutable {
-                if (alive2.expired() || stopped_) return;
+                if (!alive2) return;
                 create_attempt(key, std::move(rec), retries_left - 1,
                                std::move(cb));
               });
           return;
         }
-        if (cb) cb(resp.has_value() && !resp->payload().empty() &&
-                   resp->payload()[0] == kOk);
+        if (cb) cb(answered(resp, kOk));
       });
 }
 
@@ -196,14 +188,12 @@ void Dht::get(const Key& key, GetCallback cb) {
 }
 
 void Dht::get_attempt(const Key& key, int retries_left, GetCallback cb) {
-  util::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(Op::kGet));
-  w.bytes(std::span<const std::uint8_t>(key.bytes().data(), Address::kBytes));
   node_.request(
-      key, PacketType::kDhtRequest, RoutingMode::kClosest, w.take(),
+      key, PacketType::kDhtRequest, RoutingMode::kClosest,
+      encode_lookup(Op::kGet, key),
       [this, key, retries_left, cb = std::move(cb),
-       alive = std::weak_ptr<bool>(alive_)](std::optional<Packet> resp) mutable {
-        if (alive.expired()) return;
+       alive = alive_.guard()](std::optional<Packet> resp) mutable {
+        if (!alive) return;
         if (!resp) {
           ++stats_.get_timeouts;
         } else if (resp->payload().empty() || resp->payload()[0] == kNotFound) {
@@ -214,13 +204,13 @@ void Dht::get_attempt(const Key& key, int retries_left, GetCallback cb) {
           // Miss or timeout: under churn the request may have died on a
           // route through a dead-but-not-yet-evicted node; give the ring
           // a beat to heal and ask again.
-          if (retries_left > 0 && !stopped_) {
+          if (retries_left > 0) {
             ++stats_.get_retries;
             node_.host().loop().schedule_after(
                 cfg_.get_retry_delay,
                 [this, key, retries_left, cb = std::move(cb),
                  alive2 = std::move(alive)]() mutable {
-                  if (alive2.expired() || stopped_) return;
+                  if (!alive2) return;
                   get_attempt(key, retries_left - 1, std::move(cb));
                 });
             return;
@@ -268,14 +258,12 @@ std::uint8_t Dht::check_ownership(const Key& key, const Record& rec) {
     ++stats_.sig_rejects;
     return kConflict;
   }
-  auto it = store_.find(key);
-  if (it == store_.end() ||
-      it->second.expires < node_.host().loop().now() ||
-      !it->second.rec.is_signed()) {
+  const Stored* inc = live(key);
+  if (inc == nullptr || !inc->rec.is_signed()) {
     return kOk;  // no live signed incumbent: first come, first served
   }
   // A live signed record holds the key: only its owner may touch it.
-  if (!rec.is_signed() || !(rec.owner == it->second.rec.owner)) {
+  if (!rec.is_signed() || !(rec.owner == inc->rec.owner)) {
     ++stats_.owner_rejects;
     return kConflict;
   }
@@ -284,7 +272,7 @@ std::uint8_t Dht::check_ownership(const Key& key, const Record& rec) {
   // same-owner write older than the live copy is such a replay (or a
   // badly stale replica); reject instead of answering kOk while
   // silently keeping the newer record.
-  if (rec.version < it->second.rec.version) {
+  if (rec.version < inc->rec.version) {
     ++stats_.sig_rejects;
     return kConflict;
   }
@@ -317,45 +305,16 @@ void Dht::handle_request(const Packet& pkt) {
         // soak probes.  Consult the ex-closest node first: a live record
         // there signed by a DIFFERENT key outranks the newcomer (the
         // create path runs the same consult for the same reason).
-        auto inc = store_.find(key);
-        const bool incumbent_live =
-            inc != store_.end() &&
-            inc->second.expires >= node_.host().loop().now() &&
-            inc->second.rec.is_signed();
-        if (!incumbent_live && rec.is_signed() &&
+        const Stored* inc = live(key);
+        if ((inc == nullptr || !inc->rec.is_signed()) && rec.is_signed() &&
             node_.uptime() < cfg_.min_owner_age) {
-          const Connection* prev = node_.table().closest_to(key);
-          if (prev != nullptr) {
-            ++stats_.consults;
-            util::ByteWriter cw;
-            cw.u8(static_cast<std::uint8_t>(Op::kGetLocal));
-            cw.bytes(std::span<const std::uint8_t>(key.bytes().data(),
-                                                   Address::kBytes));
-            node_.request(
-                prev->addr, PacketType::kDhtRequest, RoutingMode::kExact,
-                cw.take(),
-                [this, key, rec, req = pkt,
-                 alive = std::weak_ptr<bool>(alive_)](
-                    std::optional<Packet> resp) mutable {
-                  if (alive.expired() || stopped_) return;
-                  if (resp && !resp->payload().empty() &&
-                      resp->payload()[0] == kOk) {
-                    try {
-                      util::ByteReader rr(resp->payload());
-                      rr.u8();  // status
-                      Record held = decode_record(rr, resp->share_payload());
-                      if (held.is_signed() && !(held.owner == rec.owner)) {
-                        ++stats_.consult_hits;
-                        ++stats_.owner_rejects;
-                        node_.respond(req, PacketType::kDhtResponse,
-                                      std::vector<std::uint8_t>{kConflict});
-                        return;
-                      }
-                    } catch (const util::ParseError&) {
-                    }
-                  }
-                  accept_write(key, std::move(rec), req);
-                });
+          if (const Connection* prev = node_.table().closest_to(key)) {
+            accept_unless_held(
+                *prev, key, std::move(rec), pkt,
+                [](const Record& held, const Record& rec) {
+                  return held.is_signed() && !(held.owner == rec.owner);
+                },
+                &DhtStats::owner_rejects);
             return;
           }
         }
@@ -374,17 +333,14 @@ void Dht::handle_request(const Packet& pkt) {
         // Owner-side uniqueness check: a live record with a different
         // value wins; an expired record or the writer's own value does
         // not block (the latter is how a lease holder renews).
-        auto it = store_.find(key);
-        if (it != store_.end() &&
-            it->second.expires >= node_.host().loop().now() &&
-            !it->second.rec.same_value(rec)) {
+        const Stored* held = live(key);
+        if (held != nullptr && !held->rec.same_value(rec)) {
           ++stats_.create_conflicts;
           node_.respond(pkt, PacketType::kDhtResponse,
                         std::vector<std::uint8_t>{kConflict});
           return;
         }
-        if (it == store_.end() ||
-            it->second.expires < node_.host().loop().now()) {
+        if (held == nullptr) {
           // A young node's miss is not authoritative: its half-built
           // table may both deliver and consult far from the key's true
           // ring region, and accepting there double-allocates a taken
@@ -401,38 +357,13 @@ void Dht::handle_request(const Packet& pkt) {
           // previous owner's handoff, and a blind accept here would mint
           // a duplicate for a key that is already taken one hop away.
           // Consult the next-closest node before accepting.
-          const Connection* prev = node_.table().closest_to(key);
-          if (prev != nullptr) {
-            ++stats_.consults;
-            util::ByteWriter cw;
-            cw.u8(static_cast<std::uint8_t>(Op::kGetLocal));
-            cw.bytes(std::span<const std::uint8_t>(key.bytes().data(),
-                                                   Address::kBytes));
-            node_.request(
-                prev->addr, PacketType::kDhtRequest, RoutingMode::kExact,
-                cw.take(),
-                [this, key, rec, req = pkt,
-                 alive = std::weak_ptr<bool>(alive_)](
-                    std::optional<Packet> resp) mutable {
-                  if (alive.expired() || stopped_) return;
-                  if (resp && !resp->payload().empty() &&
-                      resp->payload()[0] == kOk) {
-                    try {
-                      util::ByteReader rr(resp->payload());
-                      rr.u8();  // status
-                      Record held = decode_record(rr, resp->share_payload());
-                      if (!held.same_value(rec)) {
-                        ++stats_.consult_hits;
-                        ++stats_.create_conflicts;
-                        node_.respond(req, PacketType::kDhtResponse,
-                                      std::vector<std::uint8_t>{kConflict});
-                        return;
-                      }
-                    } catch (const util::ParseError&) {
-                    }
-                  }
-                  accept_write(key, std::move(rec), req);
-                });
+          if (const Connection* prev = node_.table().closest_to(key)) {
+            accept_unless_held(
+                *prev, key, std::move(rec), pkt,
+                [](const Record& held, const Record& rec) {
+                  return !held.same_value(rec);
+                },
+                &DhtStats::create_conflicts);
             return;
           }
         }
@@ -459,17 +390,14 @@ void Dht::handle_request(const Packet& pkt) {
         // newer record back at the sender instead of silently dropping
         // theirs; one round-trip heals the stale copy, and the exchange
         // terminates because only the strictly-newer side ever replies.
-        {
-          auto it = store_.find(key);
-          if (it != store_.end() && it->second.rec.version > rec.version &&
-              it->second.expires >= node_.host().loop().now() &&
-              !it->second.rec.same_value(rec)) {
-            node_.send(Destination::unicast(pkt.src),
-                       OutboundFrame(PacketType::kDhtRequest,
-                                     encode_stored(key, it->second)));
-            ++stats_.antientropy_pushbacks;
-            return;
-          }
+        if (const Stored* held = live(key);
+            held != nullptr && held->rec.version > rec.version &&
+            !held->rec.same_value(rec)) {
+          node_.send(Destination::unicast(pkt.src),
+                     OutboundFrame(PacketType::kDhtRequest,
+                                   encode_stored(key, *held)));
+          ++stats_.antientropy_pushbacks;
+          return;
         }
         // A replica write is the system placing this copy: if we are not
         // the owner, stamp it handed so the next republish tick does not
@@ -485,66 +413,76 @@ void Dht::handle_request(const Packet& pkt) {
         }
         return;  // replicas are fire-and-forget
       }
-      case Op::kGet: {
-        auto it = store_.find(key);
-        if (it == store_.end() ||
-            it->second.expires < node_.host().loop().now()) {
-          // Miss: the record may still sit one hop away at the previous
-          // owner (we became closest before its handoff reached us).
-          // Consult it and relay a hit; kGetLocal keeps this from ever
-          // recursing further.
-          const Connection* prev = node_.table().closest_to(key);
-          if (prev == nullptr) {
-            node_.respond(pkt, PacketType::kDhtResponse,
-                          std::vector<std::uint8_t>{kNotFound});
-            return;
-          }
-          ++stats_.consults;
-          util::ByteWriter cw;
-          cw.u8(static_cast<std::uint8_t>(Op::kGetLocal));
-          cw.bytes(std::span<const std::uint8_t>(key.bytes().data(),
-                                                 Address::kBytes));
-          node_.request(
-              prev->addr, PacketType::kDhtRequest, RoutingMode::kExact,
-              cw.take(),
-              [this, req = pkt, alive = std::weak_ptr<bool>(alive_)](
-                  std::optional<Packet> resp) mutable {
-                if (alive.expired() || stopped_) return;
-                if (resp && !resp->payload().empty() &&
-                    resp->payload()[0] == kOk) {
-                  ++stats_.consult_hits;
-                  node_.respond(req, PacketType::kDhtResponse,
-                                resp->share_payload());
-                  return;
-                }
-                node_.respond(req, PacketType::kDhtResponse,
-                              std::vector<std::uint8_t>{kNotFound});
-              });
+      case Op::kGet:
+      case Op::kGetLocal: {
+        if (const Stored* held = live(key)) {
+          util::ByteWriter w;
+          w.u8(kOk);
+          encode_record_fields(w, held->rec);
+          node_.respond(pkt, PacketType::kDhtResponse, w.take());
           return;
         }
-        util::ByteWriter w;
-        w.u8(kOk);
-        encode_record_fields(w, it->second.rec);
-        node_.respond(pkt, PacketType::kDhtResponse, w.take());
-        return;
-      }
-      case Op::kGetLocal: {
-        auto it = store_.find(key);
-        if (it == store_.end() ||
-            it->second.expires < node_.host().loop().now()) {
+        // A kGet miss: the record may still sit one hop away at the
+        // previous owner (we became closest before its handoff reached
+        // us).  Consult it and relay a hit; kGetLocal answers from the
+        // local store only, so a consult never recurses further.
+        const Connection* prev =
+            op == Op::kGet ? node_.table().closest_to(key) : nullptr;
+        if (prev == nullptr) {
           node_.respond(pkt, PacketType::kDhtResponse,
                         std::vector<std::uint8_t>{kNotFound});
           return;
         }
-        util::ByteWriter w;
-        w.u8(kOk);
-        encode_record_fields(w, it->second.rec);
-        node_.respond(pkt, PacketType::kDhtResponse, w.take());
+        consult(*prev, key, [this, req = pkt](std::optional<Packet> hit) {
+          if (hit) ++stats_.consult_hits;
+          node_.respond(req, PacketType::kDhtResponse,
+                        hit ? hit->share_payload()
+                            : util::Buffer::wrap({kNotFound}));
+        });
         return;
       }
     }
   } catch (const util::ParseError&) {
   }
+}
+
+void Dht::consult(const Connection& prev, const Key& key,
+                  std::function<void(std::optional<Packet>)> then) {
+  ++stats_.consults;
+  node_.request(prev.addr, PacketType::kDhtRequest, RoutingMode::kExact,
+                encode_lookup(Op::kGetLocal, key),
+                [then = std::move(then), alive = alive_.guard()](
+                    std::optional<Packet> resp) {
+                  if (!alive) return;
+                  if (!answered(resp, kOk)) resp.reset();
+                  then(std::move(resp));
+                });
+}
+
+void Dht::accept_unless_held(const Connection& prev, const Key& key,
+                             Record rec, const Packet& req,
+                             bool (*conflicts)(const Record& held,
+                                               const Record& rec),
+                             std::uint64_t DhtStats::*rejects) {
+  consult(prev, key,
+          [this, key, rec = std::move(rec), req, conflicts,
+           rejects](std::optional<Packet> hit) mutable {
+            if (hit) {
+              try {
+                util::ByteReader r(hit->payload());
+                r.u8();  // status
+                if (conflicts(decode_record(r, hit->share_payload()), rec)) {
+                  ++stats_.consult_hits;
+                  ++(stats_.*rejects);
+                  node_.respond(req, PacketType::kDhtResponse,
+                                std::vector<std::uint8_t>{kConflict});
+                  return;
+                }
+              } catch (const util::ParseError&) {
+              }
+            }
+            accept_write(key, std::move(rec), req);
+          });
 }
 
 void Dht::accept_write(const Key& key, Record rec, const Packet& req) {
@@ -581,6 +519,13 @@ void Dht::bump_version(const Key& key, Record& rec) {
   }
 }
 
+std::vector<std::uint8_t> Dht::encode_lookup(Op op, const Key& key) {
+  util::ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(op));
+  w.bytes(std::span<const std::uint8_t>(key.bytes().data(), Address::kBytes));
+  return w.take();
+}
+
 std::vector<std::uint8_t> Dht::encode_record(Op op, const Key& key,
                                              const Record& rec) {
   util::ByteWriter w;
@@ -614,6 +559,14 @@ void Dht::replicate(const Key& key, const Record& rec) {
                            encode_record(Op::kReplica, key, rec)));
 }
 
+const Dht::Stored* Dht::live(const Key& key) const {
+  auto it = store_.find(key);
+  if (it == store_.end() || it->second.expires < node_.host().loop().now()) {
+    return nullptr;
+  }
+  return &it->second;
+}
+
 bool Dht::owns(const Key& key) const {
   const Connection* best = node_.table().closest_to(key);
   return best == nullptr ||
@@ -621,7 +574,7 @@ bool Dht::owns(const Key& key) const {
 }
 
 void Dht::schedule_rereplication() {
-  if (stopped_ || rereplicate_timer_ != 0) return;
+  if (rereplicate_timer_ != 0) return;
   rereplicate_timer_ = node_.host().loop().schedule_after(
       cfg_.rereplicate_delay, [this] {
         rereplicate_timer_ = 0;
@@ -630,7 +583,6 @@ void Dht::schedule_rereplication() {
 }
 
 void Dht::rereplicate_owned() {
-  if (stopped_) return;
   const auto now = node_.host().loop().now();
   for (const auto& [key, s] : store_) {
     if (s.expires < now || !owns(key)) continue;
@@ -681,7 +633,6 @@ Dht::Stored* Dht::store_record(const Key& key, Record rec) {
 }
 
 void Dht::republish_tick() {
-  if (stopped_) return;
   const auto now = node_.host().loop().now();
   // Expire dead records.
   std::erase_if(store_, [&](const auto& kv) { return kv.second.expires < now; });

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "brunet/node.hpp"
+#include "util/lifetime.hpp"
 
 namespace ipop::brunet {
 
@@ -223,6 +224,19 @@ class Dht {
   /// Accept a put/create: stamp expiry, dominate the stored version,
   /// store, replicate, and answer kOk to the original requester.
   void accept_write(const Key& key, Record rec, const Packet& req);
+  /// Consult-on-miss: ask `prev` (the connection closest to `key`, most
+  /// likely its previous owner, pre-handoff) for its local copy.  `then`
+  /// gets the kOk reply, or nullopt on a miss or timeout.
+  void consult(const Connection& prev, const Key& key,
+               std::function<void(std::optional<Packet>)> then);
+  /// The write side of a consult: answer `req` with kConflict (bumping
+  /// `rejects`) when the consulted copy `conflicts` with `rec`, else
+  /// accept_write it.
+  void accept_unless_held(const Connection& prev, const Key& key, Record rec,
+                          const Packet& req,
+                          bool (*conflicts)(const Record& held,
+                                            const Record& rec),
+                          std::uint64_t DhtStats::*rejects);
   /// Raise an accepted unsigned write's version above the stored
   /// record's (writers stamp from independent counters; an overwrite the
   /// owner accepted must dominate the previous writer's stamp on every
@@ -234,6 +248,8 @@ class Dht {
   /// requests, replication fan-out, ring-shift and departure handoff).
   std::vector<std::uint8_t> encode_record(Op op, const Key& key,
                                           const Record& rec);
+  /// Op byte + key: the kGet / kGetLocal request.
+  static std::vector<std::uint8_t> encode_lookup(Op op, const Key& key);
   /// Decode the record fields of a kPut/kCreate/kReplica payload; the
   /// value Buffer shares `storage` (the carrying packet's bytes).
   static Record decode_record(util::ByteReader& r, const util::Buffer& storage);
@@ -255,6 +271,8 @@ class Dht {
   /// node now closest to its key, before our edges go down.
   void handoff_all();
   bool owns(const Key& key) const;
+  /// The unexpired stored copy of `key`, or nullptr.
+  const Stored* live(const Key& key) const;
 
   BrunetNode& node_;
   DhtConfig cfg_;
@@ -263,10 +281,10 @@ class Dht {
   std::uint64_t version_counter_ = 1;
   std::uint64_t republish_timer_ = 0;
   std::uint64_t rereplicate_timer_ = 0;
-  bool stopped_ = false;
-  /// Sentinel for the observer lambdas registered with the node (the node
-  /// may outlive this Dht; expired weak_ptr = dead Dht, do nothing).
-  std::shared_ptr<bool> alive_;
+  /// Guards the observer lambdas registered with the node (the node may
+  /// outlive this Dht) and the request callbacks; declared last so it
+  /// expires before the members they touch.
+  util::AliveToken alive_;
 };
 
 }  // namespace ipop::brunet

@@ -23,6 +23,23 @@ bool is_response_type(PacketType t) {
       return false;
   }
 }
+/// The bytes a departure notice's signature covers: the claimed ring
+/// address, then the notice body.
+std::vector<std::uint8_t> departure_signed_bytes(
+    const Address& addr, std::span<const std::uint8_t> body) {
+  std::vector<std::uint8_t> msg;
+  msg.reserve(Address::kBytes + body.size());
+  msg.insert(msg.end(), addr.bytes().begin(), addr.bytes().end());
+  msg.insert(msg.end(), body.begin(), body.end());
+  return msg;
+}
+/// A live edge that is not itself a relay tunnel.  Relays are picked
+/// from, and forward over, direct edges only: that keeps tunnels one
+/// layer deep (no wrap-in-wrap recursion between mutually relaying nodes).
+bool is_direct(const std::shared_ptr<Edge>& e) {
+  return e != nullptr && e->is_up() &&
+         e->remote().proto != TransportAddress::Proto::kRelay;
+}
 }  // namespace
 
 const char* nat_class_name(NatClass c) {
@@ -62,6 +79,14 @@ std::size_t encode_node_infos(util::ByteWriter& w,
   w.u8(static_cast<std::uint8_t>(n));
   for (std::size_t i = 0; i < n; ++i) infos[i].encode(w);
   return n;
+}
+
+std::vector<NodeInfo> decode_node_infos(util::ByteReader& r) {
+  const std::uint8_t n = r.u8();
+  std::vector<NodeInfo> infos;
+  infos.reserve(n);
+  for (std::uint8_t i = 0; i < n; ++i) infos.push_back(NodeInfo::decode(r));
+  return infos;
 }
 
 BrunetNode::BrunetNode(net::Host& host, Address addr, NodeConfig cfg)
@@ -117,11 +142,7 @@ void BrunetNode::leave() {
   // appended pubkey + signature are trailing fields legacy receivers
   // never reach while parsing.
   if (key_addressed()) {
-    std::vector<std::uint8_t> msg;
-    msg.reserve(Address::kBytes + body.size());
-    msg.insert(msg.end(), addr_.bytes().begin(), addr_.bytes().end());
-    msg.insert(msg.end(), body.begin(), body.end());
-    const auto sig = identity_.keys.sign(msg);
+    const auto sig = identity_.keys.sign(departure_signed_bytes(addr_, body));
     const auto& pk = identity_.keys.public_key().bytes;
     body.insert(body.end(), pk.begin(), pk.end());
     body.insert(body.end(), sig.bytes.begin(), sig.bytes.end());
@@ -149,6 +170,7 @@ void BrunetNode::notify_connection_lost(const Address& addr) {
 void BrunetNode::evict_connection(const Address& addr) {
   const Connection* c = table_.find(addr);
   if (c == nullptr) return;
+  ++stats_.edges_closed;
   auto edge = c->edge;
   table_.remove(addr);
   if (edge) edge->close();
@@ -285,8 +307,10 @@ std::optional<Address> BrunetNode::right_neighbor() const {
 // ---------------------------------------------------------------------------
 
 void BrunetNode::adopt_edge(const std::shared_ptr<Edge>& edge) {
+  // A datagram dial hands back the transport's existing edge to an
+  // endpoint we already hold: nothing to adopt.
+  if (!edges_.emplace(edge.get(), edge).second) return;
   edge->touch(host_.loop().now());
-  edges_.emplace(edge.get(), edge);
   edge->set_receive_handler(
       [this, e = edge.get()](util::Buffer bytes) {
         // Resolve the owning shared_ptr without creating a ref cycle.
@@ -336,10 +360,8 @@ void BrunetNode::process_packet(const std::shared_ptr<Edge>& edge,
   if (is_edge_local(pkt.type)) {
     switch (pkt.type) {
       case PacketType::kLinkRequest:
-        handle_link_request(edge, pkt);
-        break;
       case PacketType::kLinkResponse:
-        handle_link_response(edge, pkt);
+        handle_link(edge, pkt);
         break;
       case PacketType::kEdgePing:
         handle_edge_ping(edge, pkt);
@@ -361,7 +383,6 @@ void BrunetNode::process_packet(const std::shared_ptr<Edge>& edge,
         // an endpoint that no longer tracks us (and, if this was our only
         // connection, re-bootstrap on the next maintenance tick).
         if (const Connection* c = table_.find_by_edge(edge.get())) {
-          ++stats_.edges_closed;
           evict_connection(c->addr);
         } else {
           edge->close();
@@ -596,9 +617,7 @@ void BrunetNode::set_handler(PacketType type, PacketHandler handler) {
   handlers_[type] = std::move(handler);
 }
 
-void BrunetNode::request(Address dst, PacketType type, RoutingMode mode,
-                         std::vector<std::uint8_t> payload,
-                         ResponseCallback cb) {
+std::uint32_t BrunetNode::expect_response(ResponseCallback cb) {
   const std::uint32_t id = next_msg_id();
   PendingRequest pr;
   pr.cb = std::move(cb);
@@ -610,6 +629,13 @@ void BrunetNode::request(Address dst, PacketType type, RoutingMode mode,
     if (cb2) cb2(std::nullopt);
   });
   pending_requests_.emplace(id, std::move(pr));
+  return id;
+}
+
+void BrunetNode::request(Address dst, PacketType type, RoutingMode mode,
+                         std::vector<std::uint8_t> payload,
+                         ResponseCallback cb) {
+  const std::uint32_t id = expect_response(std::move(cb));
   send(Destination::unicast(dst, mode),
        OutboundFrame(type, std::move(payload), id));
 }
@@ -629,11 +655,13 @@ void BrunetNode::respond(const Packet& req, PacketType type,
 // Link handshake
 // ---------------------------------------------------------------------------
 
-void BrunetNode::send_link_request(const std::shared_ptr<Edge>& edge,
-                                   ConnectionType type) {
+void BrunetNode::send_link(const std::shared_ptr<Edge>& edge,
+                           ConnectionType type,
+                           std::optional<Address> reply_to) {
   Packet pkt;
-  pkt.type = PacketType::kLinkRequest;
+  pkt.type = reply_to ? PacketType::kLinkResponse : PacketType::kLinkRequest;
   pkt.src = addr_;
+  if (reply_to) pkt.dst = *reply_to;
   util::ByteWriter w;
   w.u8(static_cast<std::uint8_t>(type));
   NodeInfo{addr_, local_addresses()}.encode(w);
@@ -642,8 +670,9 @@ void BrunetNode::send_link_request(const std::shared_ptr<Edge>& edge,
   edge->send(pkt.take_wire(send_headroom_));
 }
 
-void BrunetNode::handle_link_request(const std::shared_ptr<Edge>& edge,
-                                     const Packet& pkt) {
+void BrunetNode::handle_link(const std::shared_ptr<Edge>& edge,
+                             const Packet& pkt) {
+  const bool is_request = pkt.type == PacketType::kLinkRequest;
   ConnectionType type;
   NodeInfo sender;
   TransportAddress my_observed;
@@ -659,80 +688,33 @@ void BrunetNode::handle_link_request(const std::shared_ptr<Edge>& edge,
   Connection conn;
   conn.addr = sender.addr;
   conn.edge = edge;
-  conn.type = type;
   conn.advertised = sender.addrs;
-  conn.peer_requested_near = (type == ConnectionType::kStructuredNear);
-  auto link = linking_.find(sender.addr);
-  // The inbound request won a link we were dialing ourselves: if our
-  // first round had already failed and a punch exchange was in flight,
-  // this is the punched simultaneous open, not plain reachability.
-  conn.punched = link != linking_.end() && link->second.punch_sent &&
-                 link->second.round >= 1;
+  conn.peer_requested_near =
+      is_request && type == ConnectionType::kStructuredNear;
+  if (auto link = linking_.find(sender.addr); link != linking_.end()) {
+    // With a punch exchange in flight, a link that needed more than the
+    // first dial round was opened by the hole punch.  The response to
+    // our own dial answers the round that sent it, so that takes round
+    // 2; a peer's request arriving after our round 1 is the punched
+    // simultaneous open.
+    conn.punched = link->second.punch_sent &&
+                   link->second.round >= (is_request ? 1 : 2);
+    if (!is_request) type = link->second.type;
+    if (link->second.timer != 0) host_.loop().cancel(link->second.timer);
+    linking_.erase(link);
+  }
+  conn.type = type;
   table_.add(conn);
   ++stats_.edges_opened;
   if (conn.punched) ++stats_.links_punched;
   if (edge->remote().proto == TransportAddress::Proto::kRelay) {
     ++stats_.links_relayed;
   }
-  if (link != linking_.end()) {
-    if (link->second.timer != 0) host_.loop().cancel(link->second.timer);
-    linking_.erase(link);
-  }
   // Identify ourselves back; tell the peer where we see it.
-  Packet resp;
-  resp.type = PacketType::kLinkResponse;
-  resp.src = addr_;
-  resp.dst = sender.addr;
-  util::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(type));
-  NodeInfo{addr_, local_addresses()}.encode(w);
-  edge->remote().encode(w);
-  resp.set_payload(w.take());
-  edge->send(resp.take_wire(send_headroom_));
-  IPOP_LOG_DEBUG(addr_.short_hex() << ": accepted link from "
+  if (is_request) send_link(edge, type, sender.addr);
+  IPOP_LOG_DEBUG(addr_.short_hex() << ": link up with "
                                    << sender.addr.short_hex() << " ("
                                    << connection_type_name(type) << ")");
-}
-
-void BrunetNode::handle_link_response(const std::shared_ptr<Edge>& edge,
-                                      const Packet& pkt) {
-  ConnectionType type;
-  NodeInfo sender;
-  TransportAddress my_observed;
-  try {
-    util::ByteReader r(pkt.payload());
-    type = static_cast<ConnectionType>(r.u8());
-    sender = NodeInfo::decode(r);
-    my_observed = TransportAddress::decode(r);
-  } catch (const util::ParseError&) {
-    return;
-  }
-  record_observed(my_observed);
-  bool punched = false;
-  auto link = linking_.find(sender.addr);
-  if (link != linking_.end()) {
-    type = link->second.type;
-    // A response on the very first dial round means the target was
-    // plainly reachable; success on a later round with a punch exchange
-    // in flight means the hole punch opened the path.
-    punched = link->second.punch_sent && link->second.round >= 2;
-    if (link->second.timer != 0) host_.loop().cancel(link->second.timer);
-    linking_.erase(link);
-  }
-  Connection conn;
-  conn.addr = sender.addr;
-  conn.edge = edge;
-  conn.type = type;
-  conn.advertised = sender.addrs;
-  conn.punched = punched;
-  table_.add(conn);
-  ++stats_.edges_opened;
-  if (punched) ++stats_.links_punched;
-  if (edge->remote().proto == TransportAddress::Proto::kRelay) {
-    ++stats_.links_relayed;
-  }
-  IPOP_LOG_DEBUG(addr_.short_hex() << ": link established to "
-                                   << sender.addr.short_hex());
 }
 
 void BrunetNode::handle_edge_ping(const std::shared_ptr<Edge>& edge,
@@ -779,10 +761,7 @@ void BrunetNode::handle_departing(const std::shared_ptr<Edge>& edge,
   try {
     util::ByteReader r(pkt.payload());
     sender = NodeInfo::decode(r);
-    const std::uint8_t n = r.u8();
-    for (std::uint8_t i = 0; i < n; ++i) {
-      neighbors.push_back(NodeInfo::decode(r));
-    }
+    neighbors = decode_node_infos(r);
     body_size = pkt.payload().size() - r.remaining();
     // Trailing pubkey(32) + signature(64) from a key-addressed departer.
     // The signature covers (claimed address || body), and the key must
@@ -796,12 +775,8 @@ void BrunetNode::handle_departing(const std::shared_ptr<Edge>& edge,
       util::crypto::Signature sig;
       auto sig_bytes = r.bytes(64);
       std::copy(sig_bytes.begin(), sig_bytes.end(), sig.bytes.begin());
-      std::vector<std::uint8_t> msg;
-      msg.reserve(Address::kBytes + body_size);
-      msg.insert(msg.end(), sender.addr.bytes().begin(),
-                 sender.addr.bytes().end());
-      const auto body = pkt.payload().subview(0, body_size);
-      msg.insert(msg.end(), body.data(), body.data() + body.size());
+      const auto msg = departure_signed_bytes(
+          sender.addr, pkt.payload().subview(0, body_size));
       if (Address::from_public_key(pk) != sender.addr ||
           !util::crypto::verify(pk, msg, sig)) {
         ++stats_.departures_rejected;
@@ -819,10 +794,7 @@ void BrunetNode::handle_departing(const std::shared_ptr<Edge>& edge,
   ++stats_.departures_seen;
   IPOP_LOG_DEBUG(addr_.short_hex() << ": peer " << sender.addr.short_hex()
                                    << " is departing gracefully");
-  if (table_.contains(sender.addr)) {
-    ++stats_.edges_closed;
-    evict_connection(sender.addr);
-  }
+  evict_connection(sender.addr);
   edges_.erase(edge.get());
   edge->close();
   // The departed node handed us its neighborhood: link to whoever should
@@ -944,27 +916,17 @@ void BrunetNode::link_retry_tick(Address target) {
   ++attempt.round;
   const ConnectionType type = attempt.type;
   for (const auto& ta : attempt.candidates) {
-    // A NATed node advertises its private endpoints too; our copy of
-    // that private address is our *own* socket (every private LAN looks
-    // alike) — dialing it would handshake with ourselves.
-    if (host_.stack().is_local_ip(ta.ip) && ta.port == cfg_.port) continue;
-    if (ta.proto == TransportAddress::Proto::kUdp) {
-      auto edge = ensure_udp()->edge_to(ta.ip, ta.port);
-      if (edges_.find(edge.get()) == edges_.end()) adopt_edge(edge);
-      send_link_request(edge, type);
-    } else {
-      ensure_tcp()->connect(
-          ta.ip, ta.port, [this, target, type](std::shared_ptr<Edge> edge) {
-            if (edge == nullptr || !started_) return;
-            if (linking_.find(target) == linking_.end() &&
-                table_.contains(target)) {
-              edge->close();  // race: already linked elsewhere
-              return;
-            }
-            adopt_edge(edge);
-            send_link_request(edge, type);
-          });
-    }
+    dial(ta, [this, target, type](const std::shared_ptr<Edge>& edge) {
+      // A stream dial completes later: the link may have come up over
+      // another edge meanwhile.
+      if (linking_.find(target) == linking_.end() &&
+          table_.contains(target)) {
+        edge->close();  // race: already linked elsewhere
+        return;
+      }
+      adopt_edge(edge);
+      send_link(edge, type);
+    });
   }
   // Per-NAT-type pacing: against a symmetric endpoint every retry lands
   // on a fresh mapping, so rapid-fire probing burns attempts without
@@ -1043,10 +1005,7 @@ void BrunetNode::on_punch_response(const Address& target,
     util::ByteReader r(resp->payload());
     peer_nat = static_cast<NatClass>(r.u8());
     peer = NodeInfo::decode(r);
-    const std::uint8_t n = r.u8();
-    for (std::uint8_t i = 0; i < n; ++i) {
-      relays.push_back(NodeInfo::decode(r));
-    }
+    relays = decode_node_infos(r);
   } catch (const util::ParseError&) {
     return;
   }
@@ -1073,7 +1032,7 @@ void BrunetNode::on_punch_response(const Address& target,
 bool BrunetNode::start_relay(const Address& target, LinkAttempt& attempt) {
   if (auto existing = relay_edges_.find(target);
       existing != relay_edges_.end() && existing->second->is_up()) {
-    send_link_request(existing->second, attempt.type);
+    send_link(existing->second, attempt.type);
     return true;
   }
   // Pick the relay R: a node adjacent to the target (its neighbor set
@@ -1087,8 +1046,7 @@ bool BrunetNode::start_relay(const Address& target, LinkAttempt& attempt) {
   for (const auto& info : attempt.relay_candidates) {
     if (info.addr == addr_ || info.addr == target) continue;
     const Connection* c = table_.find(info.addr);
-    if (c == nullptr || c->edge == nullptr || !c->edge->is_up()) continue;
-    if (c->edge->remote().proto == TransportAddress::Proto::kRelay) continue;
+    if (c == nullptr || !is_direct(c->edge)) continue;
     if (via == nullptr || c->addr < via->addr) {
       backup = via;
       via = c;
@@ -1101,8 +1059,7 @@ bool BrunetNode::start_relay(const Address& target, LinkAttempt& attempt) {
     // to our direct connection ring-closest to the target, which on a
     // converging ring is very likely the target's neighbor.
     table_.for_each([&](const Connection& c) {
-      if (c.addr == target || c.edge == nullptr || !c.edge->is_up()) return;
-      if (c.edge->remote().proto == TransportAddress::Proto::kRelay) return;
+      if (c.addr == target || !is_direct(c.edge)) return;
       if (via == nullptr || Address::closer(target, c.addr, via->addr)) {
         backup = via;
         via = &c;
@@ -1122,7 +1079,7 @@ bool BrunetNode::start_relay(const Address& target, LinkAttempt& attempt) {
   adopt_edge(re);
   relay_edges_[target] = re;
   ++stats_.relay_edges;
-  send_link_request(re, attempt.type);
+  send_link(re, attempt.type);
   return true;
 }
 
@@ -1130,10 +1087,7 @@ bool BrunetNode::failover_relay(const std::shared_ptr<RelayEdge>& re) {
   const Address& backup = re->backup_relay();
   if (backup == Address{}) return false;
   const Connection* c = table_.find(backup);
-  if (c == nullptr || c->edge == nullptr || !c->edge->is_up() ||
-      c->edge->remote().proto == TransportAddress::Proto::kRelay) {
-    return false;
-  }
+  if (c == nullptr || !is_direct(c->edge)) return false;
   IPOP_LOG_DEBUG(addr_.short_hex()
                  << ": relay to " << re->peer().short_hex()
                  << " failing over via " << backup.short_hex());
@@ -1150,10 +1104,7 @@ void BrunetNode::handle_relay_forward(const std::shared_ptr<Edge>& edge,
   }
   ++pkt.hops;
   const Connection* c = table_.find(pkt.dst);
-  if (c == nullptr || c->edge == nullptr || !c->edge->is_up() ||
-      c->edge->remote().proto == TransportAddress::Proto::kRelay) {
-    // Forwarding only over a direct edge keeps tunnels one layer deep
-    // (no wrap-in-wrap recursion between mutually relaying nodes).
+  if (c == nullptr || !is_direct(c->edge)) {
     ++stats_.relay_drop_no_route;
     return;
   }
@@ -1268,27 +1219,35 @@ TcpTransport* BrunetNode::ensure_tcp() {
   return tcp_.get();
 }
 
+bool BrunetNode::dial(const TransportAddress& ta, EdgeCallback on_edge) {
+  // A NATed node advertises its private endpoints too; our copy of that
+  // private address is our *own* socket (every private LAN looks alike)
+  // — dialing it would handshake with ourselves.
+  if (host_.stack().is_local_ip(ta.ip) && ta.port == cfg_.port) return false;
+  if (ta.proto == TransportAddress::Proto::kUdp) {
+    on_edge(ensure_udp()->edge_to(ta.ip, ta.port));
+  } else {
+    ensure_tcp()->connect(
+        ta.ip, ta.port,
+        [this, on_edge = std::move(on_edge)](std::shared_ptr<Edge> edge) {
+          if (edge == nullptr || !started_) return;
+          on_edge(edge);
+        });
+  }
+  return true;
+}
+
 void BrunetNode::bootstrap() {
   if (table_.size() > 0 || seeds_.empty()) return;
   for (const auto& seed : seeds_) {
-    // Do not dial ourselves.
-    if (host_.stack().is_local_ip(seed.ip) && seed.port == cfg_.port) continue;
     // A seed whose protocol differs from our configured transport is still
-    // dialable: bring up the matching transport lazily and bootstrap
-    // through it (a UDP node handed only TCP seeds must not spin forever).
-    if (seed.proto != cfg_.transport) ++stats_.bootstrap_cross_proto;
-    if (seed.proto == TransportAddress::Proto::kUdp) {
-      auto edge = ensure_udp()->edge_to(seed.ip, seed.port);
-      if (edges_.find(edge.get()) == edges_.end()) adopt_edge(edge);
-      send_link_request(edge, ConnectionType::kLeaf);
-    } else {
-      ensure_tcp()->connect(seed.ip, seed.port,
-                            [this](std::shared_ptr<Edge> edge) {
-                              if (edge == nullptr || !started_) return;
-                              adopt_edge(edge);
-                              send_link_request(edge, ConnectionType::kLeaf);
-                            });
-    }
+    // dialable: dial() brings up the matching transport lazily (a UDP
+    // node handed only TCP seeds must not spin forever).
+    const bool dialed = dial(seed, [this](const std::shared_ptr<Edge>& edge) {
+      adopt_edge(edge);
+      send_link(edge, ConnectionType::kLeaf);
+    });
+    if (dialed && seed.proto != cfg_.transport) ++stats_.bootstrap_cross_proto;
   }
 }
 
@@ -1311,53 +1270,22 @@ void BrunetNode::probe_via_seed() {
   const auto pick =
       static_cast<std::size_t>(rng.uniform_int(0, seeds_.size() - 1));
   for (std::size_t i = 0; i < seeds_.size(); ++i) {
-    const auto& seed = seeds_[(pick + i) % seeds_.size()];
-    if (host_.stack().is_local_ip(seed.ip) && seed.port == cfg_.port) continue;
-    // Cross-protocol seeds are as good a rendezvous as native ones: dial
-    // through whichever transport matches (lazily created, same as
-    // bootstrap).
-    if (seed.proto == TransportAddress::Proto::kUdp) {
-      auto edge = ensure_udp()->edge_to(seed.ip, seed.port);
-      if (edges_.find(edge.get()) == edges_.end()) adopt_edge(edge);
-      send_locate_probe(edge);
-    } else {
-      ensure_tcp()->connect(seed.ip, seed.port,
-                            [this](std::shared_ptr<Edge> edge) {
-                              if (edge == nullptr || !started_) return;
-                              adopt_edge(edge);
-                              send_locate_probe(edge);
-                            });
-    }
-    return;
+    // Cross-protocol seeds are as good a rendezvous as native ones.
+    const bool dialed = dial(seeds_[(pick + i) % seeds_.size()],
+                             [this](const std::shared_ptr<Edge>& edge) {
+                               adopt_edge(edge);
+                               send_locate_probe(edge);
+                             });
+    if (dialed) return;
   }
 }
 
 void BrunetNode::send_locate_probe(const std::shared_ptr<Edge>& via) {
-  const std::uint32_t id = next_msg_id();
-  PendingRequest pr;
-  pr.cb = [this](std::optional<Packet> resp) {
-    if (!resp) return;
-    ++stats_.locate_responses;
-    try {
-      util::ByteReader r(resp->payload());
-      NodeInfo closest = NodeInfo::decode(r);
-      const std::uint8_t n = r.u8();
-      std::vector<NodeInfo> infos{closest};
-      for (std::uint8_t i = 0; i < n; ++i) {
-        infos.push_back(NodeInfo::decode(r));
-      }
-      consider_candidates(infos);
-    } catch (const util::ParseError&) {
-    }
-  };
-  pr.timer = host_.loop().schedule_after(cfg_.request_timeout, [this, id] {
-    auto it = pending_requests_.find(id);
-    if (it == pending_requests_.end()) return;
-    auto cb = std::move(it->second.cb);
-    pending_requests_.erase(it);
-    if (cb) cb(std::nullopt);
-  });
-  pending_requests_.emplace(id, std::move(pr));
+  const std::uint32_t id =
+      expect_response([this](std::optional<Packet> resp) {
+        if (resp) ++stats_.locate_responses;
+        on_connect_response(resp);
+      });
 
   // Routed toward our own address; first hop is forced outward so the
   // packet reaches the node currently closest to our ring position.
@@ -1387,9 +1315,7 @@ std::vector<NodeInfo> BrunetNode::direct_edge_hints() const {
   std::vector<NodeInfo> hints;
   hints.reserve(4);
   table_.for_each([&](const Connection& c) {
-    if (hints.size() >= 4) return;
-    if (c.edge == nullptr || !c.edge->is_up()) return;
-    if (c.edge->remote().proto == TransportAddress::Proto::kRelay) return;
+    if (hints.size() >= 4 || !is_direct(c.edge)) return;
     hints.push_back(NodeInfo{c.addr, {}});
   });
   return hints;
@@ -1405,13 +1331,7 @@ void BrunetNode::handle_connect_request(const Packet& pkt) {
     requester = NodeInfo::decode(r);
     // Optional trailing reachable-via hint list (locate probes from
     // NATed joiners; requests from older senders simply end here).
-    if (r.remaining() > 0) {
-      const std::uint8_t n = r.u8();
-      via_hints.reserve(n);
-      for (std::uint8_t i = 0; i < n; ++i) {
-        via_hints.push_back(NodeInfo::decode(r));
-      }
-    }
+    if (r.remaining() > 0) via_hints = decode_node_infos(r);
   } catch (const util::ParseError&) {
     return;
   }
@@ -1436,13 +1356,7 @@ void BrunetNode::stabilize() {
               if (!resp) return;
               try {
                 util::ByteReader r(resp->payload());
-                const std::uint8_t n = r.u8();
-                std::vector<NodeInfo> infos;
-                infos.reserve(n);
-                for (std::uint8_t i = 0; i < n; ++i) {
-                  infos.push_back(NodeInfo::decode(r));
-                }
-                consider_candidates(infos);
+                consider_candidates(decode_node_infos(r));
               } catch (const util::ParseError&) {
               }
             });
@@ -1490,6 +1404,18 @@ std::vector<NodeInfo> BrunetNode::neighbor_infos(std::size_t k) const {
   return out;
 }
 
+void BrunetNode::on_connect_response(const std::optional<Packet>& resp) {
+  if (!resp) return;
+  try {
+    // The responder first, then its neighborhood.
+    util::ByteReader r(resp->payload());
+    std::vector<NodeInfo> infos{NodeInfo::decode(r)};
+    for (auto& info : decode_node_infos(r)) infos.push_back(std::move(info));
+    consider_candidates(infos);
+  } catch (const util::ParseError&) {
+  }
+}
+
 void BrunetNode::consider_candidates(const std::vector<NodeInfo>& infos) {
   for (const auto& info : infos) {
     if (info.addr == addr_ || table_.contains(info.addr)) continue;
@@ -1529,20 +1455,7 @@ void BrunetNode::maintain_shortcuts() {
   w.u8(static_cast<std::uint8_t>(ConnectionType::kStructuredFar));
   NodeInfo{addr_, local_addresses()}.encode(w);
   request(target, PacketType::kConnectRequest, RoutingMode::kClosest, w.take(),
-          [this](std::optional<Packet> resp) {
-            if (!resp) return;
-            try {
-              util::ByteReader r(resp->payload());
-              NodeInfo closest = NodeInfo::decode(r);
-              const std::uint8_t n = r.u8();
-              std::vector<NodeInfo> infos{closest};
-              for (std::uint8_t i = 0; i < n; ++i) {
-                infos.push_back(NodeInfo::decode(r));
-              }
-              consider_candidates(infos);
-            } catch (const util::ParseError&) {
-            }
-          });
+          [this](std::optional<Packet> resp) { on_connect_response(resp); });
 }
 
 void BrunetNode::request_connection(const Address& target,
@@ -1632,7 +1545,6 @@ void BrunetNode::keepalive() {
     }
   });
   for (const auto& addr : dead) {
-    ++stats_.edges_closed;
     ++stats_.keepalive_evictions;
     // Eviction notifies the churn observers: the DHT re-replicates
     // records the dead peer was holding copies of.

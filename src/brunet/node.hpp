@@ -178,6 +178,9 @@ struct NodeInfo {
 /// Returns the number of infos actually encoded.
 std::size_t encode_node_infos(util::ByteWriter& w,
                               std::span<const NodeInfo> infos);
+/// Decode a u8-count-prefixed NodeInfo list (the encode_node_infos
+/// layout); throws util::ParseError on a truncated list.
+std::vector<NodeInfo> decode_node_infos(util::ByteReader& r);
 
 /// Routing target of one originated payload: a single address or a
 /// fan-out list, each with a routing mode.  Fan-out spans reference the
@@ -417,13 +420,18 @@ class BrunetNode {
                           RoutingMode mode, util::Buffer payload);
   void deliver(const Packet& pkt);
 
+  /// Register a pending request: a fresh msg_id whose response (or
+  /// nullopt on timeout) goes to `cb`.
+  std::uint32_t expect_response(ResponseCallback cb);
+
   // Link handshake.
-  void send_link_request(const std::shared_ptr<Edge>& edge,
-                         ConnectionType type);
-  void handle_link_request(const std::shared_ptr<Edge>& edge,
-                           const Packet& pkt);
-  void handle_link_response(const std::shared_ptr<Edge>& edge,
-                            const Packet& pkt);
+  /// Our identity plus where we see the peer: a kLinkRequest, or with
+  /// `reply_to` set, the kLinkResponse answering that peer's request.
+  void send_link(const std::shared_ptr<Edge>& edge, ConnectionType type,
+                 std::optional<Address> reply_to = std::nullopt);
+  /// Both handshake directions: record the peer as a connection and, for
+  /// a request, answer it.
+  void handle_link(const std::shared_ptr<Edge>& edge, const Packet& pkt);
   void handle_edge_ping(const std::shared_ptr<Edge>& edge, const Packet& pkt);
   void handle_edge_pong(const std::shared_ptr<Edge>& edge, const Packet& pkt);
   void handle_departing(const std::shared_ptr<Edge>& edge, const Packet& pkt);
@@ -453,7 +461,6 @@ class BrunetNode {
   void send_locate_probe(const std::shared_ptr<Edge>& via);
   void probe_via_seed();
   void stabilize();
-  void reclassify_connections();
   void maintain_shortcuts();
   void trim_connections();
   /// Tell the peer we are dropping this edge (datagram edges have no
@@ -462,6 +469,9 @@ class BrunetNode {
   void keepalive();
   void handle_connect_request(const Packet& pkt);
   void handle_neighbor_query(const Packet& pkt);
+  /// A kConnectResponse (the responder's NodeInfo, then its neighbor
+  /// list): link to whichever of them should be our near neighbors.
+  void on_connect_response(const std::optional<Packet>& resp);
   void consider_candidates(const std::vector<NodeInfo>& infos);
   bool should_be_near(const Address& candidate) const;
   void link_retry_tick(Address target);
@@ -481,6 +491,12 @@ class BrunetNode {
   /// linker fallback dial whatever protocol the peer offers).
   UdpTransport* ensure_udp();
   TcpTransport* ensure_tcp();
+  using EdgeCallback = std::function<void(const std::shared_ptr<Edge>&)>;
+  /// Dial `ta` over the transport its protocol names: a datagram edge is
+  /// handed to `on_edge` at once, a stream edge once connected (a failed
+  /// dial or a stop() before then drops it).  The edge is not adopted
+  /// yet.  Returns false, dialing nothing, when `ta` is our own socket.
+  bool dial(const TransportAddress& ta, EdgeCallback on_edge);
   /// Re-derive send_headroom_ from the live edge set; called whenever an
   /// edge is adopted or closed.
   void recompute_send_headroom();

@@ -215,11 +215,10 @@ void TcpTransport::connect(net::Ipv4Address ip, std::uint16_t port,
   // or the caller whose lambda rides in cbp.
   auto done = std::make_shared<bool>(false);
   auto cbp = std::make_shared<ConnectCallback>(std::move(cb));
-  sock->on_connected = [this, alive = std::weak_ptr<bool>(alive_), sock, done,
-                        cbp] {
+  sock->on_connected = [this, alive = alive_.guard(), sock, done, cbp] {
     if (*done) return;
     *done = true;
-    if (alive.expired()) {
+    if (!alive) {
       sock->close();
       return;
     }
@@ -227,11 +226,11 @@ void TcpTransport::connect(net::Ipv4Address ip, std::uint16_t port,
     edge->attach();
     (*cbp)(edge);
   };
-  sock->on_closed = [alive = std::weak_ptr<bool>(alive_), done,
+  sock->on_closed = [alive = alive_.guard(), done,
                      cbp](const std::string&) {
     if (*done) return;
     *done = true;
-    if (alive.expired()) return;
+    if (!alive) return;
     (*cbp)(nullptr);
   };
 }

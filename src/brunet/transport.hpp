@@ -19,6 +19,7 @@
 #include "net/host.hpp"
 #include "util/buffer.hpp"
 #include "util/buffer_chain.hpp"
+#include "util/lifetime.hpp"
 #include "util/time.hpp"
 
 namespace ipop::brunet {
@@ -209,7 +210,7 @@ class TcpTransport {
   EdgeHandler on_inbound_;
   /// Expires with the transport; in-flight connect() callbacks check it
   /// before touching `this` (or invoking the caller's callback).
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  util::AliveToken alive_;
 };
 
 /// Owns the node's UDP socket and demultiplexes edges by remote endpoint.

@@ -8,16 +8,15 @@ namespace ipop::core {
 
 BrunetArp::BrunetArp(brunet::BrunetNode& node, brunet::Dht& dht,
                      BrunetArpConfig cfg)
-    : node_(node), dht_(dht), cfg_(cfg), alive_(std::make_shared<bool>(true)) {
+    : node_(node), dht_(dht), cfg_(cfg) {
   reregister_timer_ = node_.host().loop().schedule_after(
       cfg_.reregister_interval, [this] { reregister_tick(); });
   // Churn: a binding whose owner just vanished is stale no matter how
   // much cache TTL remains — drop it so the next packet re-resolves
   // (and finds the re-registered binding after a migration or re-lease).
   node_.add_connection_lost_observer(
-      [this, alive = std::weak_ptr<bool>(alive_)](
-          const brunet::Address& lost) {
-        if (alive.expired()) return;
+      [this, alive = alive_.guard()](const brunet::Address& lost) {
+        if (!alive) return;
         const auto n = std::erase_if(cache_, [&](const auto& kv) {
           return kv.second.binding.addr == lost;
         });
@@ -26,7 +25,6 @@ BrunetArp::BrunetArp(brunet::BrunetNode& node, brunet::Dht& dht,
 }
 
 BrunetArp::~BrunetArp() {
-  stopped_ = true;
   if (reregister_timer_ != 0) node_.host().loop().cancel(reregister_timer_);
 }
 
@@ -56,9 +54,8 @@ brunet::Record BrunetArp::binding_record() const {
 void BrunetArp::do_register(net::Ipv4Address vip, int retries_left) {
   ++stats_.registrations;
   dht_.put(key_for(vip), binding_record(),
-           [this, vip, retries_left,
-            alive = std::weak_ptr<bool>(alive_)](bool ok) {
-             if (ok || alive.expired() || stopped_) return;
+           [this, vip, retries_left, alive = alive_.guard()](bool ok) {
+             if (ok || !alive) return;
              if (retries_left <= 0 ||
                  std::find(registered_.begin(), registered_.end(), vip) ==
                      registered_.end()) {
@@ -68,9 +65,8 @@ void BrunetArp::do_register(net::Ipv4Address vip, int retries_left) {
              }
              node_.host().loop().schedule_after(
                  cfg_.register_retry,
-                 [this, vip, retries_left,
-                  alive2 = std::weak_ptr<bool>(alive_)] {
-                   if (alive2.expired() || stopped_) return;
+                 [this, vip, retries_left, alive2 = alive_.guard()] {
+                   if (!alive2) return;
                    if (std::find(registered_.begin(), registered_.end(),
                                  vip) == registered_.end()) {
                      return;  // unregistered while waiting
@@ -91,7 +87,6 @@ void BrunetArp::unregister_ip(net::Ipv4Address vip) {
 }
 
 void BrunetArp::reregister_tick() {
-  if (stopped_) return;
   for (const auto& vip : registered_) {
     do_register(vip, cfg_.register_retries);
   }

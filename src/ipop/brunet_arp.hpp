@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "brunet/dht.hpp"
+#include "util/lifetime.hpp"
 
 namespace ipop::core {
 
@@ -100,9 +101,9 @@ class BrunetArp {
   std::map<net::Ipv4Address, std::vector<ResolveCallback>> in_flight_;
   std::vector<net::Ipv4Address> registered_;
   std::uint64_t reregister_timer_ = 0;
-  bool stopped_ = false;
-  /// Observer-lambda sentinel (the node may outlive this BrunetArp).
-  std::shared_ptr<bool> alive_;
+  /// Observer and retry-callback guard (the node may outlive this
+  /// BrunetArp); declared last so it expires first.
+  util::AliveToken alive_;
 };
 
 }  // namespace ipop::core

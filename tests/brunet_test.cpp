@@ -393,25 +393,57 @@ TEST(NodeInfoEncoding, CountByteClampsAt255) {
   util::ByteWriter w;
   EXPECT_EQ(encode_node_infos(w, infos), 255u);
   util::ByteReader r(w.data());
-  const std::uint8_t n = r.u8();
-  ASSERT_EQ(n, 255u);
-  for (std::uint8_t i = 0; i < n; ++i) {
-    NodeInfo decoded = NodeInfo::decode(r);
-    EXPECT_EQ(decoded.addr, infos[i].addr) << "entry " << int{i};
+  const auto decoded = decode_node_infos(r);
+  ASSERT_EQ(decoded.size(), 255u);
+  for (std::size_t i = 0; i < decoded.size(); ++i) {
+    EXPECT_EQ(decoded[i].addr, infos[i].addr) << "entry " << i;
+    EXPECT_EQ(decoded[i].addrs, infos[i].addrs) << "entry " << i;
   }
   EXPECT_EQ(r.remaining(), 0u) << "count byte and entries must agree";
 }
 
-TEST(NodeInfoEncoding, SmallListsRoundTripExactly) {
+/// Three infos carrying zero, one and two endpoints.
+std::vector<NodeInfo> sample_node_infos() {
   std::vector<NodeInfo> infos(3);
-  for (int i = 0; i < 3; ++i) {
-    infos[static_cast<std::size_t>(i)].addr =
-        Address::hash("rt-" + std::to_string(i));
+  for (std::size_t i = 0; i < infos.size(); ++i) {
+    infos[i].addr = Address::hash("rt-" + std::to_string(i));
+    for (std::size_t k = 0; k < i; ++k) {
+      infos[i].addrs.push_back(
+          {k == 0 ? TransportAddress::Proto::kUdp
+                  : TransportAddress::Proto::kTcp,
+           net::Ipv4Address(10, 0, static_cast<std::uint8_t>(i),
+                            static_cast<std::uint8_t>(k + 1)),
+           static_cast<std::uint16_t>(17001 + k)});
+    }
   }
+  return infos;
+}
+
+TEST(NodeInfoEncoding, SmallListsRoundTripExactly) {
+  const auto infos = sample_node_infos();
   util::ByteWriter w;
   EXPECT_EQ(encode_node_infos(w, infos), 3u);
   util::ByteReader r(w.data());
-  EXPECT_EQ(r.u8(), 3u);
+  const auto decoded = decode_node_infos(r);
+  ASSERT_EQ(decoded.size(), infos.size());
+  for (std::size_t i = 0; i < infos.size(); ++i) {
+    EXPECT_EQ(decoded[i].addr, infos[i].addr) << "entry " << i;
+    EXPECT_EQ(decoded[i].addrs, infos[i].addrs) << "entry " << i;
+  }
+  EXPECT_EQ(r.remaining(), 0u);
+}
+
+TEST(NodeInfoEncoding, EveryStrictPrefixThrows) {
+  // Peers control these bytes: a list cut anywhere — in the count, an
+  // address, an endpoint count or an endpoint — must fail the parse, not
+  // yield a shorter list.
+  util::ByteWriter w;
+  encode_node_infos(w, sample_node_infos());
+  const auto& wire = w.data();
+  for (std::size_t len = 0; len < wire.size(); ++len) {
+    util::ByteReader r(std::span<const std::uint8_t>(wire.data(), len));
+    EXPECT_THROW(decode_node_infos(r), util::ParseError) << "prefix " << len;
+  }
 }
 
 // --- Overlay fixtures ------------------------------------------------------------
@@ -689,6 +721,69 @@ TEST(OverlayChurn, GracefulLeaveEvictsImmediatelyAndRepairsRing) {
   EXPECT_TRUE(f.converge(seconds(60))) << "ring did not close the gap";
 }
 
+TEST(OverlayChurn, ForgedDeparturesAreRejected) {
+  // Key-addressed nodes demanding signed departures: a kDeparting notice
+  // evicts its subject only when signed by the key that derives the
+  // subject's address.
+  OverlayFixture f;
+  f.build(5, TransportAddress::Proto::kUdp, /*seed=*/77,
+          /*key_addressed=*/true);
+  for (auto& n : f.nodes) n->config().require_signed_departures = true;
+  f.start_all();
+  ASSERT_TRUE(f.converge());
+  BrunetNode& victim = *f.nodes[1];
+  ASSERT_TRUE(victim.right_neighbor().has_value());
+  const Address peer = *victim.right_neighbor();
+  const auto rejected0 = victim.stats().departures_rejected;
+  const auto seen0 = victim.stats().departures_seen;
+
+  // The forger is a bare socket on another host, free to put any bytes on
+  // the wire — here a notice naming `peer` as the departer.
+  auto forger = f.hosts[4]->stack().udp_bind(40000);
+  ASSERT_NE(forger, nullptr);
+  util::ByteWriter body;
+  NodeInfo{peer, {}}.encode(body);
+  encode_node_infos(body, {});
+  auto deliver_notice = [&](std::vector<std::uint8_t> payload) {
+    Packet notice;
+    notice.type = PacketType::kDeparting;
+    notice.src = peer;
+    notice.set_payload(std::move(payload));
+    forger->send_to(f.hosts[1]->stack().interface_ip(0), victim.config().port,
+                    notice.take_wire());
+    f.net.loop().run_until(f.net.loop().now() + seconds(1));
+  };
+
+  deliver_notice(body.data());  // unsigned
+  EXPECT_EQ(victim.stats().departures_rejected, rejected0 + 1);
+  EXPECT_TRUE(victim.table().contains(peer));
+
+  // Validly signed over (address || body), but by a key that does not
+  // derive `peer`'s address.
+  util::Rng rng(99);
+  const auto intruder = NodeIdentity::generate(rng);
+  std::vector<std::uint8_t> msg(peer.bytes().begin(), peer.bytes().end());
+  msg.insert(msg.end(), body.data().begin(), body.data().end());
+  const auto sig = intruder.keys.sign(msg);
+  const auto& pk = intruder.keys.public_key().bytes;
+  auto forged = body.data();
+  forged.insert(forged.end(), pk.begin(), pk.end());
+  forged.insert(forged.end(), sig.bytes.begin(), sig.bytes.end());
+  deliver_notice(std::move(forged));
+  EXPECT_EQ(victim.stats().departures_rejected, rejected0 + 2);
+  EXPECT_TRUE(victim.table().contains(peer));
+  EXPECT_EQ(victim.stats().departures_seen, seen0);
+
+  // The real departure carries peer's own signature.
+  const auto it = std::find(f.addrs.begin(), f.addrs.end(), peer);
+  ASSERT_NE(it, f.addrs.end());
+  f.nodes[static_cast<std::size_t>(it - f.addrs.begin())]->leave();
+  f.net.loop().run_until(f.net.loop().now() + seconds(1));
+  EXPECT_FALSE(victim.table().contains(peer));
+  EXPECT_EQ(victim.stats().departures_seen, seen0 + 1);
+  EXPECT_EQ(victim.stats().departures_rejected, rejected0 + 2);
+}
+
 TEST(OverlayChurn, KeepaliveMissCountsEvictions) {
   OverlayFixture f;
   f.build(6, TransportAddress::Proto::kUdp);
@@ -872,7 +967,7 @@ struct DhtFixture : ::testing::Test {
 /// Unwrap a typed DHT record into the raw value bytes the assertions
 /// compare against.
 std::optional<std::vector<std::uint8_t>> record_value(
-    std::optional<Record> rec) {
+    const std::optional<Record>& rec) {
   if (!rec) return std::nullopt;
   return rec->value.to_vector();
 }
