@@ -10,6 +10,13 @@ namespace ipop::apps {
 //   request:  [u32 frame_len][lp_string name][u64 offset][u32 len]
 //   response: [u32 frame_len][u8 status][lp_bytes data]
 
+namespace {
+/// Bytes per block RPC, and per cached block.
+constexpr std::size_t kBlockSize = 8 * 1024;
+/// Local cache access time per block (disk-cache hit).
+constexpr util::Duration kCacheHitCost = util::microseconds(50);
+}  // namespace
+
 std::uint8_t NfsServer::content_byte(const std::string& name,
                                      std::uint64_t offset) {
   std::uint64_t h = 1469598103934665603ull;
@@ -95,8 +102,8 @@ void NfsServer::serve(std::shared_ptr<net::TcpSocket> sock) {
 }
 
 NfsClient::NfsClient(net::Host& host, net::Ipv4Address server,
-                     std::uint16_t port, NfsClientConfig cfg)
-    : host_(host), server_(server), port_(port), cfg_(cfg) {}
+                     std::uint16_t port)
+    : host_(host), server_(server), port_(port) {}
 
 void NfsClient::ensure_connected() {
   if (sock_ != nullptr) return;
@@ -116,11 +123,11 @@ void NfsClient::ensure_connected() {
 void NfsClient::read_block(const std::string& name, std::uint64_t block_index,
                            std::function<void(std::vector<std::uint8_t>)> done) {
   ++stats_.reads;
-  const std::uint64_t offset = block_index * cfg_.block_size;
+  const std::uint64_t offset = block_index * kBlockSize;
   if (cache_.count({name, block_index}) > 0) {
     ++stats_.cache_hits;
     // Local disk-cache read: small fixed cost, no network.
-    host_.loop().schedule_after(cfg_.cache_hit_cost,
+    host_.loop().schedule_after(kCacheHitCost,
                                 [done = std::move(done)] { done({}); });
     return;
   }
@@ -128,7 +135,7 @@ void NfsClient::read_block(const std::string& name, std::uint64_t block_index,
   Rpc rpc;
   rpc.name = name;
   rpc.offset = offset;
-  rpc.len = static_cast<std::uint32_t>(cfg_.block_size);
+  rpc.len = static_cast<std::uint32_t>(kBlockSize);
   rpc.done = [this, name, block_index, done = std::move(done)](
                  std::vector<std::uint8_t> data) {
     cache_.insert({name, block_index});
@@ -191,7 +198,7 @@ void NfsClient::on_data() {
 void NfsClient::read_file(const std::string& name, std::uint64_t size,
                           std::function<void(bool ok)> done) {
   const std::uint64_t blocks =
-      (size + cfg_.block_size - 1) / cfg_.block_size;
+      (size + kBlockSize - 1) / kBlockSize;
   auto next = std::make_shared<std::function<void(std::uint64_t)>>();
   auto done_p = std::make_shared<std::function<void(bool)>>(std::move(done));
   // The step function captures itself weakly; the strong reference lives

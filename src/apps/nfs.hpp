@@ -51,12 +51,6 @@ class NfsServer {
   NfsServerStats stats_;
 };
 
-struct NfsClientConfig {
-  std::size_t block_size = 8 * 1024;
-  /// Local cache access time per block (disk-cache hit).
-  util::Duration cache_hit_cost = util::microseconds(50);
-};
-
 struct NfsClientStats {
   std::uint64_t reads = 0;
   std::uint64_t cache_hits = 0;
@@ -67,8 +61,7 @@ struct NfsClientStats {
 class NfsClient {
  public:
   NfsClient(net::Host& host, net::Ipv4Address server,
-            std::uint16_t port = NfsServer::kDefaultPort,
-            NfsClientConfig cfg = {});
+            std::uint16_t port = NfsServer::kDefaultPort);
 
   /// Stream the whole file through the cache, one synchronous block RPC
   /// at a time; `done(ok)` fires after the last block.
@@ -97,7 +90,6 @@ class NfsClient {
   net::Host& host_;
   net::Ipv4Address server_;
   std::uint16_t port_;
-  NfsClientConfig cfg_;
   std::shared_ptr<net::TcpSocket> sock_;
   bool connected_ = false;
   std::vector<std::uint8_t> rx_buf_;

@@ -165,13 +165,6 @@ const Connection* ConnectionTable::left_neighbor() const {
   return &conns_[b == 0 ? n - 1 : b - 1];
 }
 
-std::vector<const Connection*> ConnectionTable::all() const {
-  std::vector<const Connection*> out;
-  out.reserve(conns_.size());
-  for (const auto& c : conns_) out.push_back(&c);
-  return out;
-}
-
 std::size_t ConnectionTable::count(ConnectionType t) const {
   return static_cast<std::size_t>(
       std::count_if(conns_.begin(), conns_.end(),

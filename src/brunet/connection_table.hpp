@@ -133,7 +133,6 @@ class ConnectionTable {
     }
   }
 
-  std::vector<const Connection*> all() const;
   std::size_t size() const { return conns_.size(); }
   std::size_t count(ConnectionType t) const;
   const Address& self() const { return self_; }

@@ -12,6 +12,20 @@ constexpr std::uint8_t kNotFound = 0;
 constexpr std::uint8_t kConflict = 2;  // create(): key taken by other value
 constexpr std::uint8_t kRetry = 3;     // create(): owner too young to decide
 
+constexpr Duration kRepublishInterval = util::seconds(5);
+/// Grace period between a lost connection and the re-replication pass it
+/// triggers (lets ring repair re-link first so the copies land on the
+/// *new* neighbors, and coalesces a burst of failures into one pass).
+constexpr Duration kRereplicateDelay = util::milliseconds(500);
+/// A get() that misses (not-found or timeout) is retried this many
+/// times: under churn the first attempt often dies on a route through a
+/// not-yet-evicted dead node, and by the retry the ring has healed.
+constexpr int kGetRetries = 2;
+constexpr Duration kGetRetryDelay = util::milliseconds(1500);
+/// Rounds a create() re-asks after a young owner's kRetry deferral.
+constexpr int kCreateRetries = 8;
+constexpr Duration kCreateRetryDelay = util::milliseconds(1000);
+
 /// Record fields behind the status/op byte and key: the one wire layout
 /// shared by put/create/replica requests and get responses.
 void encode_record_fields(util::ByteWriter& w, const Record& rec) {
@@ -72,7 +86,7 @@ Dht::Dht(BrunetNode& node, DhtConfig cfg) : node_(node), cfg_(cfg) {
   node_.set_handler(PacketType::kDhtRequest,
                     [this](const Packet& pkt) { handle_request(pkt); });
   republish_timer_ = node_.host().loop().schedule_after(
-      cfg_.republish_interval, [this] { republish_tick(); });
+      kRepublishInterval, [this] { republish_tick(); });
   // Churn hooks: a dead connection may have held replicas of our records;
   // a graceful departure hands every record onward before edges drop.
   node_.add_connection_lost_observer(
@@ -149,7 +163,7 @@ void Dht::release(const Key& key, PutCallback cb) {
 
 void Dht::create(const Key& key, Record rec, PutCallback cb) {
   ++stats_.creates;
-  create_attempt(key, std::move(rec), cfg_.create_retries, std::move(cb));
+  create_attempt(key, std::move(rec), kCreateRetries, std::move(cb));
 }
 
 void Dht::create_attempt(const Key& key, Record rec, int retries_left,
@@ -169,7 +183,7 @@ void Dht::create_attempt(const Key& key, Record rec, int retries_left,
         // back off and re-ask rather than reporting a conflict.
         if (answered(resp, kRetry) && retries_left > 0) {
           node_.host().loop().schedule_after(
-              cfg_.create_retry_delay,
+              kCreateRetryDelay,
               [this, key, rec = std::move(rec), retries_left,
                cb = std::move(cb), alive2 = std::move(alive)]() mutable {
                 if (!alive2) return;
@@ -184,7 +198,7 @@ void Dht::create_attempt(const Key& key, Record rec, int retries_left,
 
 void Dht::get(const Key& key, GetCallback cb) {
   ++stats_.gets;
-  get_attempt(key, cfg_.get_retries, std::move(cb));
+  get_attempt(key, kGetRetries, std::move(cb));
 }
 
 void Dht::get_attempt(const Key& key, int retries_left, GetCallback cb) {
@@ -207,7 +221,7 @@ void Dht::get_attempt(const Key& key, int retries_left, GetCallback cb) {
           if (retries_left > 0) {
             ++stats_.get_retries;
             node_.host().loop().schedule_after(
-                cfg_.get_retry_delay,
+                kGetRetryDelay,
                 [this, key, retries_left, cb = std::move(cb),
                  alive2 = std::move(alive)]() mutable {
                   if (!alive2) return;
@@ -307,7 +321,7 @@ void Dht::handle_request(const Packet& pkt) {
         // create path runs the same consult for the same reason).
         const Stored* inc = live(key);
         if ((inc == nullptr || !inc->rec.is_signed()) && rec.is_signed() &&
-            node_.uptime() < cfg_.min_owner_age) {
+            node_.uptime() < kMinOwnerAge) {
           if (const Connection* prev = node_.table().closest_to(key)) {
             accept_unless_held(
                 *prev, key, std::move(rec), pkt,
@@ -346,7 +360,7 @@ void Dht::handle_request(const Packet& pkt) {
           // ring region, and accepting there double-allocates a taken
           // key.  Tell the claimant to back off and re-route once our
           // position has settled.
-          if (node_.uptime() < cfg_.min_owner_age) {
+          if (node_.uptime() < kMinOwnerAge) {
             ++stats_.create_deferrals;
             node_.respond(pkt, PacketType::kDhtResponse,
                           std::vector<std::uint8_t>{kRetry});
@@ -576,7 +590,7 @@ bool Dht::owns(const Key& key) const {
 void Dht::schedule_rereplication() {
   if (rereplicate_timer_ != 0) return;
   rereplicate_timer_ = node_.host().loop().schedule_after(
-      cfg_.rereplicate_delay, [this] {
+      kRereplicateDelay, [this] {
         rereplicate_timer_ = 0;
         rereplicate_owned();
       });
@@ -660,7 +674,7 @@ void Dht::republish_tick() {
     ++stats_.handoffs;
   }
   republish_timer_ = node_.host().loop().schedule_after(
-      cfg_.republish_interval, [this] { republish_tick(); });
+      kRepublishInterval, [this] { republish_tick(); });
 }
 
 }  // namespace ipop::brunet

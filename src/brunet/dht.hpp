@@ -25,23 +25,6 @@ struct DhtConfig {
   std::size_t replicas = 2;
   /// Records expire unless refreshed (mobility updates refresh them).
   Duration record_ttl = util::seconds(600);
-  Duration republish_interval = util::seconds(5);
-  /// Grace period between a lost connection and the re-replication pass it
-  /// triggers (lets ring repair re-link first so the copies land on the
-  /// *new* neighbors, and coalesces a burst of failures into one pass).
-  Duration rereplicate_delay = util::milliseconds(500);
-  /// A get() that misses (not-found or timeout) is retried this many
-  /// times: under churn the first attempt often dies on a route through a
-  /// not-yet-evicted dead node, and by the retry the ring has healed.
-  int get_retries = 2;
-  Duration get_retry_delay = util::milliseconds(1500);
-  /// A node younger than this must not mint records for keys it holds no
-  /// copy of: its table may deliver/consult far from the key's true ring
-  /// region, and a blind accept there double-allocates a taken key.  It
-  /// answers kRetry instead, and create() backs off and retries.
-  Duration min_owner_age = util::seconds(5);
-  int create_retries = 8;
-  Duration create_retry_delay = util::milliseconds(1000);
 };
 
 /// One typed DHT record.  `value` is a util::Buffer, so owner-side reads
@@ -122,7 +105,7 @@ struct DhtStats {
   std::uint64_t consults = 0;
   std::uint64_t consult_hits = 0;
   /// Creates answered kRetry because this node was too young to trust its
-  /// own miss (see DhtConfig::min_owner_age).
+  /// own miss (see Dht::kMinOwnerAge).
   std::uint64_t create_deferrals = 0;
   /// Incoming replicas older than our stored copy, answered by pushing
   /// the newer record back at the stale holder (read repair on the
@@ -144,6 +127,12 @@ class Dht {
   using Key = Address;
   using PutCallback = std::function<void(bool ok)>;
   using GetCallback = std::function<void(std::optional<Record>)>;
+
+  /// A node younger than this must not mint records for keys it holds no
+  /// copy of: its table may deliver/consult far from the key's true ring
+  /// region, and a blind accept there double-allocates a taken key.  It
+  /// answers kRetry instead, and create() backs off and retries.
+  static constexpr Duration kMinOwnerAge = util::seconds(5);
 
   Dht(BrunetNode& node, DhtConfig cfg = {});
   ~Dht();

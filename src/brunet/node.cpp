@@ -8,6 +8,12 @@
 namespace ipop::brunet {
 
 namespace {
+/// A request with no response by then completes with std::nullopt.
+constexpr Duration kRequestTimeout = util::seconds(3);
+/// Dial rounds per link attempt, and the pause between rounds.
+constexpr int kLinkAttempts = 6;
+constexpr Duration kLinkRetry = util::milliseconds(400);
+
 bool is_edge_local(PacketType t) {
   return static_cast<std::uint8_t>(t) < 10;
 }
@@ -288,12 +294,6 @@ std::vector<TransportAddress> BrunetNode::local_addresses() const {
   }
   if (out.size() > 8) out.resize(8);
   return out;
-}
-
-std::optional<Address> BrunetNode::left_neighbor() const {
-  const Connection* c = table_.left_neighbor();
-  if (c == nullptr) return std::nullopt;
-  return c->addr;
 }
 
 std::optional<Address> BrunetNode::right_neighbor() const {
@@ -621,7 +621,7 @@ std::uint32_t BrunetNode::expect_response(ResponseCallback cb) {
   const std::uint32_t id = next_msg_id();
   PendingRequest pr;
   pr.cb = std::move(cb);
-  pr.timer = host_.loop().schedule_after(cfg_.request_timeout, [this, id] {
+  pr.timer = host_.loop().schedule_after(kRequestTimeout, [this, id] {
     auto it = pending_requests_.find(id);
     if (it == pending_requests_.end()) return;
     auto cb2 = std::move(it->second.cb);
@@ -865,7 +865,7 @@ void BrunetNode::connect_to(const Address& target,
   ++stats_.links_started;
   LinkAttempt& attempt = it->second;
   attempt.type = type;
-  attempt.attempts_left = cfg_.link_attempts;
+  attempt.attempts_left = kLinkAttempts;
   merge_hints(attempt, via_hints);
   if (merge_candidates(attempt.candidates, candidates, cfg_.transport)) {
     ++stats_.links_cross_proto;
@@ -901,7 +901,7 @@ void BrunetNode::link_retry_tick(Address target) {
       attempt.relay_tried = true;
       attempt.attempts_left = 2;  // rounds for the handshake over the tunnel
       attempt.timer = host_.loop().schedule_after(
-          cfg_.link_retry, [this, alive = alive_.guard(), target] {
+          kLinkRetry, [this, alive = alive_.guard(), target] {
             if (!alive) return;
             link_retry_tick(target);
           });
@@ -932,10 +932,10 @@ void BrunetNode::link_retry_tick(Address target) {
   // on a fresh mapping, so rapid-fire probing burns attempts without
   // widening coverage — stretch the interval linearly instead and give
   // the punched dial-back time to arrive.
-  Duration delay = cfg_.link_retry;
+  Duration delay = kLinkRetry;
   if (nat_class_ == NatClass::kSymmetric ||
       attempt.peer_nat == NatClass::kSymmetric) {
-    delay = cfg_.link_retry * attempt.round;
+    delay = kLinkRetry * attempt.round;
   }
   attempt.timer = host_.loop().schedule_after(
       delay, [this, alive = alive_.guard(), target] {

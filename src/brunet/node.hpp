@@ -93,9 +93,6 @@ struct NodeConfig {
   Duration maintenance_interval = util::milliseconds(500);
   Duration edge_idle_ping = util::seconds(5);
   Duration edge_timeout = util::seconds(15);
-  Duration request_timeout = util::seconds(3);
-  Duration link_retry = util::milliseconds(400);
-  int link_attempts = 6;
   std::uint8_t default_ttl = 32;
   /// CPU cost charged per received packet (routing is user-level work;
   /// IPOP raises this to its measured per-packet processing cost).
@@ -362,7 +359,6 @@ class BrunetNode {
   std::uint64_t maintenance_ticks() const { return maintenance_ticks_; }
   /// Local + NAT-observed endpoints, advertised during handshakes.
   std::vector<TransportAddress> local_addresses() const;
-  std::optional<Address> left_neighbor() const;
   std::optional<Address> right_neighbor() const;
   /// What this node has inferred about the NAT in front of it.
   NatClass nat_class() const { return nat_class_; }

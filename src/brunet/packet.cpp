@@ -4,32 +4,6 @@
 
 namespace ipop::brunet {
 
-const char* packet_type_name(PacketType t) {
-  switch (t) {
-    case PacketType::kLinkRequest: return "LinkRequest";
-    case PacketType::kLinkResponse: return "LinkResponse";
-    case PacketType::kEdgePing: return "EdgePing";
-    case PacketType::kEdgePong: return "EdgePong";
-    case PacketType::kDeparting: return "Departing";
-    case PacketType::kRelayForward: return "RelayForward";
-    case PacketType::kRelayDeliver: return "RelayDeliver";
-    case PacketType::kEdgeClose: return "EdgeClose";
-    case PacketType::kConnectRequest: return "ConnectRequest";
-    case PacketType::kConnectResponse: return "ConnectResponse";
-    case PacketType::kNeighborQuery: return "NeighborQuery";
-    case PacketType::kNeighborReply: return "NeighborReply";
-    case PacketType::kPunchRequest: return "PunchRequest";
-    case PacketType::kPunchResponse: return "PunchResponse";
-    case PacketType::kPing: return "Ping";
-    case PacketType::kPingResponse: return "PingResponse";
-    case PacketType::kIpTunnel: return "IpTunnel";
-    case PacketType::kDhtRequest: return "DhtRequest";
-    case PacketType::kDhtResponse: return "DhtResponse";
-    case PacketType::kAppData: return "AppData";
-  }
-  return "?";
-}
-
 util::BufferView Packet::payload() const {
   if (!wire_) return buf_.view();
   return buf_.view(kHeaderSize, buf_.size() - kHeaderSize);

@@ -57,8 +57,6 @@ enum class PacketType : std::uint8_t {
   kAppData = 50,  // generic application payload
 };
 
-const char* packet_type_name(PacketType t);
-
 /// Delivery semantics for routed packets.
 enum class RoutingMode : std::uint8_t {
   /// Deliver only to the exact destination address; drop if the greedy

@@ -66,12 +66,8 @@ class Edge {
   virtual void send(util::Buffer bytes) = 0;
   /// Scatter-gather send: the chain's segments (e.g. a per-destination
   /// header in front of a shared payload buffer) cross the edge without
-  /// being flattened by the caller.  The base fallback coalesces once;
-  /// transports override with a copy-free path.
-  virtual void send_chain(util::BufferChain chain) {
-    // lint:allow(zero-copy): base-class fallback only — both real transports override copy-free
-    send(chain.coalesce().share());
-  }
+  /// being flattened by the caller.
+  virtual void send_chain(util::BufferChain chain) = 0;
   /// Batched send: every chain is one packet, emitted with a single
   /// transport crossing where the transport supports it (UDP's
   /// sendmmsg-style socket batch, one gathered stream write for TCP).

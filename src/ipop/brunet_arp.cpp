@@ -6,6 +6,14 @@
 
 namespace ipop::core {
 
+namespace {
+/// A failed registration put (e.g. a request timeout while the ring is
+/// converging) retries on this short fuse, this many times, instead of
+/// leaving the IP unresolvable until the next reregister_interval.
+constexpr util::Duration kRegisterRetry = util::seconds(2);
+constexpr int kRegisterRetries = 3;
+}  // namespace
+
 BrunetArp::BrunetArp(brunet::BrunetNode& node, brunet::Dht& dht,
                      BrunetArpConfig cfg)
     : node_(node), dht_(dht), cfg_(cfg) {
@@ -33,7 +41,7 @@ void BrunetArp::register_ip(net::Ipv4Address vip) {
       registered_.end()) {
     registered_.push_back(vip);
   }
-  do_register(vip, cfg_.register_retries);
+  do_register(vip, kRegisterRetries);
 }
 
 brunet::Record BrunetArp::binding_record() const {
@@ -64,7 +72,7 @@ void BrunetArp::do_register(net::Ipv4Address vip, int retries_left) {
                return;
              }
              node_.host().loop().schedule_after(
-                 cfg_.register_retry,
+                 kRegisterRetry,
                  [this, vip, retries_left, alive2 = alive_.guard()] {
                    if (!alive2) return;
                    if (std::find(registered_.begin(), registered_.end(),
@@ -88,7 +96,7 @@ void BrunetArp::unregister_ip(net::Ipv4Address vip) {
 
 void BrunetArp::reregister_tick() {
   for (const auto& vip : registered_) {
-    do_register(vip, cfg_.register_retries);
+    do_register(vip, kRegisterRetries);
   }
   reregister_timer_ = node_.host().loop().schedule_after(
       cfg_.reregister_interval, [this] { reregister_tick(); });

@@ -24,13 +24,6 @@ namespace ipop::core {
 struct BrunetArpConfig {
   util::Duration cache_ttl = util::seconds(30);
   util::Duration reregister_interval = util::seconds(60);
-  /// A failed registration put (e.g. a request timeout while the ring is
-  /// converging) retries on this short fuse instead of leaving the IP
-  /// unresolvable until the next reregister_interval.
-  util::Duration register_retry = util::seconds(2);
-  int register_retries = 3;
-  /// Packets queued per destination while a lookup is in flight.
-  std::size_t pending_queue_limit = 64;
 };
 
 struct BrunetArpStats {

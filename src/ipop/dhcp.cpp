@@ -6,6 +6,19 @@
 
 namespace ipop::core {
 
+namespace {
+/// Poll cadence while waiting for the overlay join: claiming before the
+/// node has any connection would route the create to ourselves and
+/// self-allocate blindly (the partition double-allocation hazard).
+constexpr util::Duration kJoinPoll = util::milliseconds(500);
+/// Consecutive renewal read-backs showing a rival value tolerated
+/// before the lease is declared lost.  Split-brains under churn are
+/// usually stranded records from a rival that already walked on;
+/// disputing (short-fuse re-renewals) lets republish/handoff reconcile
+/// toward the incumbent instead of churning the address.
+constexpr int kDisputeRounds = 3;
+}  // namespace
+
 DhcpClient::DhcpClient(brunet::BrunetNode& node, brunet::Dht& dht,
                        DhcpConfig cfg)
     : node_(node), dht_(dht), cfg_(cfg) {}
@@ -88,7 +101,7 @@ void DhcpClient::try_claim(std::uint64_t epoch, int attempt,
     // "succeed" no matter who else holds the address.  Wait for the
     // bootstrap edge before probing.
     claim_timer_ = node_.host().loop().schedule_after(
-        cfg_.join_poll, [this, epoch, attempt, cb = std::move(cb)]() mutable {
+        kJoinPoll, [this, epoch, attempt, cb = std::move(cb)]() mutable {
           claim_timer_ = 0;
           try_claim(epoch, attempt, std::move(cb));
         });
@@ -109,10 +122,6 @@ void DhcpClient::try_claim(std::uint64_t epoch, int attempt,
         if (!ok) {
           ++stats_.conflicts;
           try_claim(epoch, attempt + 1, std::move(cb));
-          return;
-        }
-        if (!cfg_.confirm_readback) {
-          lease_acquired(epoch, ip, std::move(cb));
           return;
         }
         // Read-back: the owner that accepted our create must still hold
@@ -197,7 +206,7 @@ void DhcpClient::renew_tick(std::uint64_t epoch) {
                // walked on, stranding its record.  The incumbent is the
                // one node still renewing, so republish/handoff reconciles
                // toward us; dispute a few rounds before conceding.
-               if (dispute_rounds_ < cfg_.dispute_rounds) {
+               if (dispute_rounds_ < kDisputeRounds) {
                  ++dispute_rounds_;
                  renew_timer_ = node_.host().loop().schedule_after(
                      cfg_.renew_interval / 4,

@@ -32,20 +32,6 @@ struct DhcpConfig {
   util::Duration renew_interval = util::seconds(60);
   /// Candidate IPs probed before acquire() reports failure.
   int max_attempts = 16;
-  /// Poll cadence while waiting for the overlay join: claiming before the
-  /// node has any connection would route the create to ourselves and
-  /// self-allocate blindly (the partition double-allocation hazard).
-  util::Duration join_poll = util::milliseconds(500);
-  /// After a successful create, read the record back and require our own
-  /// value: catches the double-allocation race where ring churn briefly
-  /// splits ownership of the key.
-  bool confirm_readback = true;
-  /// Consecutive renewal read-backs showing a rival value tolerated
-  /// before the lease is declared lost.  Split-brains under churn are
-  /// usually stranded records from a rival that already walked on;
-  /// disputing (short-fuse re-renewals) lets republish/handoff reconcile
-  /// toward the incumbent instead of churning the address.
-  int dispute_rounds = 3;
 };
 
 struct DhcpStats {
@@ -116,7 +102,7 @@ class DhcpClient {
   /// high pool load — 10k nodes on a 20k pool is a coin flip per probe)
   /// re-probes the same taken addresses forever.
   std::uint64_t probe_round_ = 0;
-  /// Consecutive disputed renewals (see DhcpConfig::dispute_rounds).
+  /// Consecutive disputed renewals (see kDisputeRounds in dhcp.cpp).
   int dispute_rounds_ = 0;
   std::uint64_t renew_timer_ = 0;
   std::uint64_t claim_timer_ = 0;  // join-wait poll

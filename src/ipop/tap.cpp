@@ -3,9 +3,12 @@
 namespace ipop::core {
 
 namespace {
-sim::LinkConfig tap_link_config(const TapConfig& cfg) {
+/// Kernel <-> user-process crossing latency per frame.
+constexpr util::Duration kCrossingDelay = util::microseconds(5);
+
+sim::LinkConfig tap_link_config() {
   sim::LinkConfig lcfg;
-  lcfg.delay = cfg.crossing_delay;
+  lcfg.delay = kCrossingDelay;
   lcfg.bandwidth_bps = 0;  // memory copy: no serialization delay
   lcfg.queue_bytes = 1 << 20;
   return lcfg;
@@ -15,7 +18,7 @@ sim::LinkConfig tap_link_config(const TapConfig& cfg) {
 TapDevice::TapDevice(net::Host& host, const TapConfig& cfg)
     : host_(host),
       cfg_(cfg),
-      link_(host.loop(), tap_link_config(cfg), util::Rng(cfg.ip.value),
+      link_(host.loop(), tap_link_config(), util::Rng(cfg.ip.value),
             cfg.name) {
   // Kernel face: register tap0 as an interface.  A /32 avoids a broad
   // connected route; the whole virtual subnet is instead routed through

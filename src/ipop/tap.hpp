@@ -30,8 +30,6 @@ struct TapConfig {
   net::Ipv4Address gateway = net::Ipv4Address(172, 16, 255, 254);
   /// Lower than Ethernet so the encapsulated packet fits the physical MTU.
   std::size_t mtu = 1200;
-  /// Kernel <-> user-process crossing latency per frame.
-  util::Duration crossing_delay = util::microseconds(5);
 };
 
 class TapDevice {

@@ -105,17 +105,6 @@ class Firewall {
   }
   void set_outbound_default(FwAction action) { outbound_default_ = action; }
 
-  // Legacy conveniences.
-  void set_outbound_default_allow(bool allow) {
-    outbound_default_ = allow ? FwAction::kAllow : FwAction::kDeny;
-  }
-  void allow_outbound(FirewallRule rule) {
-    add_outbound_rule(FwAction::kAllow, std::move(rule));
-  }
-  void deny_outbound(FirewallRule rule) {
-    add_outbound_rule(FwAction::kDeny, std::move(rule));
-  }
-
  private:
   struct FlowKey {
     IpProto proto;

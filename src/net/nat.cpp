@@ -73,21 +73,6 @@ void NatBox::add_port_forward(IpProto proto, std::uint16_t ext_port,
   forwards_[{proto, ext_port}] = inside;
 }
 
-std::optional<L4Endpoint> NatBox::reflexive_endpoint(
-    IpProto proto, const L4Endpoint& inside,
-    std::optional<L4Endpoint> dst) const {
-  for (const auto& [key, fwd_inside] : forwards_) {
-    if (key.first == proto && fwd_inside == inside) {
-      return Endpoint{external_ip(), key.second};
-    }
-  }
-  MapKey key{proto, inside, std::nullopt};
-  if (type_ == NatType::kSymmetric) key.dst = dst;
-  auto it = mappings_.find(key);
-  if (it == mappings_.end()) return std::nullopt;
-  return Endpoint{external_ip(), it->second.ext_port};
-}
-
 std::uint16_t NatBox::alloc_ext_port(IpProto proto) {
   // Exhaustion fast path: without it, every packet of every unmapped
   // flow would re-scan the full port range once the space fills up.

@@ -113,16 +113,6 @@ class NatBox {
   void add_port_forward(IpProto proto, std::uint16_t ext_port,
                         L4Endpoint inside);
 
-  /// Reflexive-mapping observability: the external endpoint a peer would
-  /// see for `inside` traffic (toward `dst`, which only matters for the
-  /// symmetric type's per-destination mappings).  Consults port forwards
-  /// first, then live conntrack mappings; nullopt when neither exists.
-  /// Lets tests and the hostile soak verify what the overlay's STUN-style
-  /// discovery reported against ground truth.
-  std::optional<L4Endpoint> reflexive_endpoint(
-      IpProto proto, const L4Endpoint& inside,
-      std::optional<L4Endpoint> dst = std::nullopt) const;
-
   /// Live translation entries (bounded by the conntrack sweep).
   std::size_t mapping_count() const { return mappings_.size(); }
   /// Tracked TCP state of the mapping holding `ext_port`, for tests and

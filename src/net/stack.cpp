@@ -29,6 +29,10 @@ Ipv4Prefix connected_prefix(Ipv4Address ip, int prefix_len) {
       prefix_len};
 }
 std::uint64_t g_stack_uid = 1;
+
+/// ARP requests sent for one next hop before its queued packets drop.
+constexpr int kArpAttempts = 3;
+constexpr Duration kArpRetryInterval = util::seconds(1);
 }  // namespace
 
 Stack::Stack(sim::EventLoop& loop, std::string host_name, StackConfig cfg)
@@ -241,13 +245,9 @@ void Stack::handle_ip(std::size_t iface, util::Buffer bytes) {
     return;
   }
   ++counters_.ip_rx;
-  if (cfg_.copy_at_stack_crossing) {
-    // Ablation: the pre-zero-copy kernel copied the packet out of the
-    // receive ring on every traversal.
-    counters_.payload_bytes_copied += pkt.payload.size();
-    // lint:allow(zero-copy): copy_at_stack_crossing ablation mode — the copy IS the experiment
-    pkt.payload = pkt.payload.clone(util::kPacketHeadroom);
-  }
+  // The pre-zero-copy kernel copied the packet out of the receive ring
+  // on every traversal.
+  copy_at_crossing(pkt.payload, util::kPacketHeadroom);
   if (prerouting_ && !prerouting_(pkt, iface)) {
     ++counters_.dropped_hook;
     return;
@@ -354,7 +354,8 @@ void Stack::resolve_and_send(std::size_t iface, Ipv4Address next_hop,
     pending.attempts = 0;
     send_arp_request(iface, next_hop);
     pending.timer = loop_->schedule_after(
-        cfg_.arp_retry, [this, iface, next_hop] { arp_retry(iface, next_hop); });
+        kArpRetryInterval,
+        [this, iface, next_hop] { arp_retry(iface, next_hop); });
   }
 }
 
@@ -363,14 +364,14 @@ void Stack::arp_retry(std::size_t iface, Ipv4Address target) {
   auto it = ifc.arp_pending.find(target);
   if (it == ifc.arp_pending.end()) return;
   PendingArp& pending = it->second;
-  if (++pending.attempts >= cfg_.arp_retries) {
+  if (++pending.attempts >= kArpAttempts) {
     counters_.dropped_arp_fail += pending.queue.size();
     ifc.arp_pending.erase(it);
     return;
   }
   send_arp_request(iface, target);
   pending.timer = loop_->schedule_after(
-      cfg_.arp_retry, [this, iface, target] { arp_retry(iface, target); });
+      kArpRetryInterval, [this, iface, target] { arp_retry(iface, target); });
 }
 
 void Stack::send_arp_request(std::size_t iface, Ipv4Address target) {
@@ -385,15 +386,18 @@ void Stack::send_arp_request(std::size_t iface, Ipv4Address target) {
                                EtherType::kArp));
 }
 
+void Stack::copy_at_crossing(util::Buffer& payload, std::size_t headroom) {
+  if (!cfg_.copy_at_stack_crossing) return;
+  counters_.payload_bytes_copied += payload.size();
+  // lint:allow(zero-copy): copy_at_stack_crossing ablation mode — the copy IS the experiment
+  payload = payload.clone(headroom);
+}
+
 void Stack::emit_ip(std::size_t iface, MacAddress dst, Ipv4Packet pkt) {
   Interface& ifc = *ifaces_[iface];
-  if (cfg_.copy_at_stack_crossing) {
-    // Ablation: the pre-zero-copy kernel serialized the packet into a
-    // fresh frame on every transmit.
-    counters_.payload_bytes_copied += pkt.payload.size();
-    // lint:allow(zero-copy): copy_at_stack_crossing ablation mode — the copy IS the experiment
-    pkt.payload = pkt.payload.clone(util::kPacketHeadroom);
-  }
+  // The pre-zero-copy kernel serialized the packet into a fresh frame on
+  // every transmit.
+  copy_at_crossing(pkt.payload, util::kPacketHeadroom);
   if (!pkt.wire_in_place(EthernetView::kHeaderSize)) {
     // Shared or cramped storage: the header prepend reallocates once.
     counters_.payload_bytes_copied += pkt.payload.size();
@@ -753,12 +757,7 @@ void UdpSocket::emit_datagram(Ipv4Address dst, std::uint16_t dst_port,
   } else {
     if (payload.segments() == 1) data = payload.segment(0).share();
     payload.clear();
-    if (stack_->cfg_.copy_at_stack_crossing) {
-      // Ablation: force the historical user/kernel send copy.
-      stack_->counters_.payload_bytes_copied += data.size();
-      // lint:allow(zero-copy): copy_at_stack_crossing ablation mode — the copy IS the experiment
-      data = data.clone(util::kPacketHeadroom);
-    }
+    stack_->copy_at_crossing(data, util::kPacketHeadroom);  // user -> kernel
     if (!(data.use_count() == 1 &&
           data.headroom() >= UdpView::kHeaderSize)) {
       stack_->counters_.payload_bytes_copied += data.size();
@@ -781,12 +780,7 @@ void UdpSocket::deliver(Ipv4Address src, std::uint16_t src_port,
                         util::Buffer data) {
   ++rx_;
   if (!buf_handler_) return;
-  if (stack_ != nullptr && stack_->cfg_.copy_at_stack_crossing) {
-    // Ablation: force the historical kernel/user delivery copy.
-    stack_->counters_.payload_bytes_copied += data.size();
-    // lint:allow(zero-copy): copy_at_stack_crossing ablation mode — the copy IS the experiment
-    data = data.clone();
-  }
+  if (stack_ != nullptr) stack_->copy_at_crossing(data, 0);  // kernel -> user
   buf_handler_(src, src_port, std::move(data));
 }
 

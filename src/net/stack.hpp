@@ -56,8 +56,6 @@ struct StackConfig {
   /// Simulated kernel processing cost per packet per stack traversal
   /// (applied once on send and once on receive).
   Duration per_packet_delay = util::microseconds(25);
-  Duration arp_retry = util::seconds(1);
-  int arp_retries = 3;
   std::uint64_t seed = 0;  // 0: derive from host name
   /// Ablation toggle (paper Section V.2): when true the stack deep-copies
   /// the packet payload at every stack crossing — socket send, IP
@@ -248,6 +246,10 @@ class Stack {
   /// frame to the link (the transmit-side stack traversal).
   void emit_ip(std::size_t iface, MacAddress dst, Ipv4Packet pkt);
   void emit_frame(std::size_t iface, util::Buffer frame);
+  /// The copy_at_stack_crossing ablation: under it, replace `payload`
+  /// with a counted deep copy (the historical kernel copy at a stack
+  /// crossing); otherwise leave it shared.
+  void copy_at_crossing(util::Buffer& payload, std::size_t headroom);
   void resolve_and_send(std::size_t iface, Ipv4Address next_hop,
                         Ipv4Packet pkt);
   void send_arp_request(std::size_t iface, Ipv4Address target);

@@ -7,24 +7,19 @@
 
 namespace ipop::net {
 
-const char* tcp_state_name(TcpState s) {
-  switch (s) {
-    case TcpState::kClosed: return "CLOSED";
-    case TcpState::kSynSent: return "SYN_SENT";
-    case TcpState::kSynRcvd: return "SYN_RCVD";
-    case TcpState::kEstablished: return "ESTABLISHED";
-    case TcpState::kFinWait1: return "FIN_WAIT_1";
-    case TcpState::kFinWait2: return "FIN_WAIT_2";
-    case TcpState::kCloseWait: return "CLOSE_WAIT";
-    case TcpState::kClosing: return "CLOSING";
-    case TcpState::kLastAck: return "LAST_ACK";
-    case TcpState::kTimeWait: return "TIME_WAIT";
-  }
-  return "?";
-}
+namespace {
+
+constexpr std::size_t kSendBuf = 64 * 1024;
+constexpr Duration kMinRto = util::milliseconds(200);
+constexpr Duration kMaxRto = util::seconds(60);
+constexpr Duration kInitialRto = util::seconds(1);
+constexpr Duration kTimeWaitPeriod = util::seconds(30);
+constexpr Duration kPersistInterval = util::milliseconds(500);
+
+}  // namespace
 
 TcpSocket::TcpSocket(Stack* stack, TcpConfig cfg) : stack_(stack), cfg_(cfg) {
-  rto_ = cfg_.initial_rto;
+  rto_ = kInitialRto;
 }
 
 TcpSocket::~TcpSocket() {
@@ -56,7 +51,7 @@ void TcpSocket::detach() {
 }
 
 std::size_t TcpSocket::send_space() const {
-  return cfg_.send_buf - std::min(cfg_.send_buf, send_queue_.size());
+  return kSendBuf - std::min(kSendBuf, send_queue_.size());
 }
 
 std::size_t TcpSocket::flight_size() const { return snd_nxt_ - snd_una_; }
@@ -753,7 +748,7 @@ void TcpSocket::retransmit_front() {
 void TcpSocket::arm_persist() {
   auto self = weak_from_this();
   persist_timer_ = stack_->loop().schedule_after(
-      cfg_.persist_interval, [self] {
+      kPersistInterval, [self] {
         if (auto s = self.lock()) {
           s->persist_timer_ = 0;
           s->on_persist_timeout();
@@ -781,7 +776,7 @@ void TcpSocket::enter_time_wait() {
   cancel_retransmit();
   auto self = weak_from_this();
   time_wait_timer_ = stack_->loop().schedule_after(
-      cfg_.time_wait, [self] {
+      kTimeWaitPeriod, [self] {
         if (auto s = self.lock()) {
           s->time_wait_timer_ = 0;
           s->become_closed("");
@@ -828,12 +823,12 @@ void TcpSocket::sample_rtt(Duration rtt) {
 }
 
 Duration TcpSocket::current_rto() const {
-  Duration base = srtt_valid_ ? rto_ : cfg_.initial_rto;
+  Duration base = srtt_valid_ ? rto_ : kInitialRto;
   for (int i = 0; i < backoff_; ++i) {
     base *= 2;
-    if (base >= cfg_.max_rto) break;
+    if (base >= kMaxRto) break;
   }
-  return std::clamp(base, cfg_.min_rto, cfg_.max_rto);
+  return std::clamp(base, kMinRto, kMaxRto);
 }
 
 // ---------------------------------------------------------------------------

@@ -31,15 +31,9 @@ using util::Duration;
 using util::TimePoint;
 
 struct TcpConfig {
-  std::size_t send_buf = 64 * 1024;
   std::size_t recv_buf = 64 * 1024;
   /// MSS is clamped to (egress MTU - 40) when the connection is created.
   std::size_t mss = 1460;
-  Duration min_rto = util::milliseconds(200);
-  Duration max_rto = util::seconds(60);
-  Duration initial_rto = util::seconds(1);
-  Duration time_wait = util::seconds(30);
-  Duration persist_interval = util::milliseconds(500);
   int syn_retries = 6;
   /// Nagle's algorithm (RFC 896): hold sub-MSS segments while data is
   /// unacknowledged.  Off by default (most measurement tools set
@@ -62,8 +56,6 @@ enum class TcpState {
   kLastAck,
   kTimeWait,
 };
-
-const char* tcp_state_name(TcpState s);
 
 struct TcpStats {
   std::uint64_t segments_sent = 0;

@@ -107,6 +107,8 @@ void Sha512::process_block(const std::uint8_t* block) {
 }
 
 void Sha512::update(std::span<const std::uint8_t> data) {
+  // An empty span may carry a null pointer, which memcpy must not see.
+  if (data.empty()) return;
   total_bytes_ += data.size();
   std::size_t off = 0;
   if (buffered_ > 0) {

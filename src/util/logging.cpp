@@ -9,20 +9,8 @@ Logger& Logger::instance() {
   return logger;
 }
 
-Logger::Logger() {
-  sink_ = [](LogLevel lvl, const std::string& msg) {
-    std::fprintf(stderr, "[%s] %s\n", log_level_name(lvl), msg.c_str());
-  };
-}
-
-Logger::Sink Logger::set_sink(Sink sink) {
-  auto prev = std::move(sink_);
-  sink_ = std::move(sink);
-  return prev;
-}
-
 void Logger::write(LogLevel lvl, const std::string& msg) {
-  if (sink_) sink_(lvl, msg);
+  std::fprintf(stderr, "[%s] %s\n", log_level_name(lvl), msg.c_str());
 }
 
 const char* log_level_name(LogLevel lvl) {

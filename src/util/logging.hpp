@@ -1,11 +1,9 @@
 // Minimal leveled logger.
 //
 // Simulation code logs through IPOP_LOG_* macros; the level check is a
-// single branch so packet-path logging costs nothing when disabled.  The
-// sink is injectable so tests can capture output.
+// single branch so packet-path logging costs nothing when disabled.
 #pragma once
 
-#include <functional>
 #include <sstream>
 #include <string>
 
@@ -21,16 +19,12 @@ class Logger {
   void set_level(LogLevel lvl) { level_ = lvl; }
   bool enabled(LogLevel lvl) const { return lvl >= level_; }
 
-  using Sink = std::function<void(LogLevel, const std::string&)>;
-  /// Replace the output sink (default writes to stderr); returns previous.
-  Sink set_sink(Sink sink);
-
+  /// Writes one line to stderr.
   void write(LogLevel lvl, const std::string& msg);
 
  private:
-  Logger();
+  Logger() = default;
   LogLevel level_ = LogLevel::kWarn;
-  Sink sink_;
 };
 
 const char* log_level_name(LogLevel lvl);

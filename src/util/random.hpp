@@ -65,8 +65,6 @@ class Rng {
   double normal(double mean, double stddev) {
     return std::normal_distribution<double>(mean, stddev)(*this);
   }
-  /// Log-uniform in [lo, hi]; used for Kleinberg-style shortcut distances.
-  double log_uniform(double lo, double hi);
 
   /// Derive an independent child generator (stable given the same label).
   Rng fork(std::uint64_t label) {

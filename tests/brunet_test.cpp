@@ -1092,7 +1092,7 @@ TEST_F(DhtFixture, CreateSucceedsAfterRecordExpires) {
   const auto key = Address::hash("expiring-lease");
   bool ok1 = false;
   ds[0]->create(key, {1}, [&](bool ok) { ok1 = ok; });
-  // A fresh overlay converges well inside DhtConfig::min_owner_age, so the
+  // A fresh overlay converges well inside Dht::kMinOwnerAge, so the
   // first create is deferred (kRetry) until the owner is old enough to
   // trust its own miss; give the retry loop room to land.
   g.net.loop().run_until(g.net.loop().now() + seconds(12));
@@ -1361,8 +1361,8 @@ TEST_F(SignedDhtFixture, ForeignCreateOnHeldKeyIsRejected) {
   const auto key = Address::hash("lease-172.16.1.9");
   bool ok = false;
   dhts[1]->create(key, {1, 2, 3}, [&](bool k) { ok = k; });
-  // The freshly converged owner defers creates until min_owner_age; give
-  // the retry loop room to land.
+  // The freshly converged owner defers creates until Dht::kMinOwnerAge;
+  // give the retry loop room to land.
   f.net.loop().run_until(f.net.loop().now() + seconds(12));
   ASSERT_TRUE(ok);
   // The hijack attempt: another identity tries to claim the held key.
@@ -1408,7 +1408,7 @@ TEST_F(SignedDhtFixture, SignedReleaseFreesKeyForNewOwner) {
   const auto key = Address::hash("released-lease");
   bool ok = false;
   dhts[1]->create(key, {1}, [&](bool k) { ok = k; });
-  // min_owner_age deferral on the young owner, as above.
+  // Dht::kMinOwnerAge deferral on the young owner, as above.
   f.net.loop().run_until(f.net.loop().now() + seconds(12));
   ASSERT_TRUE(ok);
   bool released = false;

@@ -985,11 +985,11 @@ TEST_F(FirewallFixture, InboundRulePuncturesFirewall) {
 }
 
 TEST_F(FirewallFixture, OutboundDefaultDenyWithAllowList) {
-  fw->set_outbound_default_allow(false);
+  fw->set_outbound_default(FwAction::kDeny);
   FirewallRule to5000;
   to5000.proto = IpProto::kUdp;
   to5000.dst_port = 5000;
-  fw->allow_outbound(to5000);
+  fw->add_outbound_rule(FwAction::kAllow, to5000);
   auto s5000 = out_host->stack().udp_bind(5000);
   auto s6000 = out_host->stack().udp_bind(6000);
   int got5000 = 0, got6000 = 0;

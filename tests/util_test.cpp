@@ -273,6 +273,16 @@ TEST(Sha512Test, IncrementalMatchesOneShot) {
   }
 }
 
+TEST(Sha512Test, EmptyUpdateMidMessageIsANoOp) {
+  // A default span has a null data pointer; with bytes already buffered
+  // it must not reach memcpy (UBSan aborts on that).
+  crypto::Sha512 ctx;
+  ctx.update("ab");
+  ctx.update(std::span<const std::uint8_t>{});
+  ctx.update("c");
+  EXPECT_EQ(ctx.finish(), crypto::sha512("abc"));
+}
+
 // --- Ed25519 (RFC 8032 section 7.1 vectors) --------------------------------
 
 crypto::KeyPair rfc8032_keypair(const char* seed_hex, const char* pub_hex) {
