@@ -268,19 +268,12 @@ TEST(Sha512Test, IncrementalMatchesOneShot) {
   for (std::size_t split : {0u, 1u, 127u, 128u, 129u, 255u, 300u}) {
     crypto::Sha512 ctx;
     ctx.update(std::string_view(msg).substr(0, split));
+    // A default span has a null data pointer; with bytes already buffered
+    // it must not reach memcpy (UBSan aborts on that).
+    ctx.update(std::span<const std::uint8_t>{});
     ctx.update(std::string_view(msg).substr(split));
     EXPECT_EQ(ctx.finish(), crypto::sha512(msg)) << "split at " << split;
   }
-}
-
-TEST(Sha512Test, EmptyUpdateMidMessageIsANoOp) {
-  // A default span has a null data pointer; with bytes already buffered
-  // it must not reach memcpy (UBSan aborts on that).
-  crypto::Sha512 ctx;
-  ctx.update("ab");
-  ctx.update(std::span<const std::uint8_t>{});
-  ctx.update("c");
-  EXPECT_EQ(ctx.finish(), crypto::sha512("abc"));
 }
 
 // --- Ed25519 (RFC 8032 section 7.1 vectors) --------------------------------

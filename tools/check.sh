@@ -2,23 +2,14 @@
 # Tier-1 verify with warnings-as-errors: the exact gate CI runs, usable
 # locally before pushing.
 #
-#   tools/check.sh [--lint] [build-dir]
+#   tools/check.sh [build-dir]
 #
-# --lint additionally runs the invariant lint pass (tools/lint/run.py):
-# first its self-test over the committed bad fixtures, then the repo gate
-# against the build tree's compile_commands.json.
+# ctest includes the invariant lint pass (lint_selftest and lint_repo,
+# tools/lint/run.py) whenever CMake finds Python 3.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-run_lint=0
-build_dir=""
-for arg in "$@"; do
-  case "$arg" in
-    --lint) run_lint=1 ;;
-    *) build_dir="$arg" ;;
-  esac
-done
-build_dir="${build_dir:-${repo_root}/build-check}"
+build_dir="${1:-${repo_root}/build-check}"
 jobs="$(nproc 2>/dev/null || echo 4)"
 
 cmake -B "${build_dir}" -S "${repo_root}" -DIPOP_WERROR=ON
@@ -26,8 +17,3 @@ cmake --build "${build_dir}" -j "${jobs}"
 # JUnit XML lands next to the binaries so CI can upload it per matrix leg.
 ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" \
       --output-junit junit.xml
-
-if [ "${run_lint}" = "1" ]; then
-  python3 "${repo_root}/tools/lint/run.py" --self-test
-  python3 "${repo_root}/tools/lint/run.py" --build-dir "${build_dir}"
-fi
