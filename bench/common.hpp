@@ -6,7 +6,6 @@
 // immediate.
 #pragma once
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -20,14 +19,6 @@
 #include "util/table.hpp"
 
 namespace ipop::bench {
-
-/// Shared `--shards N` plumbing for the scale-capable benches: parse the
-/// flag's value, clamping to >= 1 (0 or garbage means "single shard").
-/// Shard count never changes results — only wall-clock — so benches
-/// accept it uniformly and pass it straight to Network::plan_shards().
-inline int parse_shards(const char* value) {
-  return std::max(1, std::atoi(value));
-}
 
 inline void banner(const std::string& title, const std::string& paper_ref) {
   std::printf("\n================================================================\n");

@@ -25,8 +25,12 @@ Suites:
          guarantee), resolution_success_rate and lease_acquired_fraction
          must clear their absolute floors, and resolution_success_rate
          must not fall more than a small tolerance below the committed
-         BENCH_churn_soak.json (CI legs run a smaller N whose run name
-         differs from the baseline's; baseline-relative rules then skip).
+         BENCH_churn_soak.json.  The committed file holds one run per CI
+         shape (ChurnSoak/24 for pull requests, ChurnSoak/64 for main),
+         and each fresh run's trace_digest must equal its committed
+         golden digest ("baseline_equal" — a change that claims
+         unchanged behaviour is checked, one that changes behaviour
+         regenerates the baseline).
   scale  — the 10k-node soak, run as a --shards 1 and a --shards 4 leg:
          duplicate_leases == 0 plus the resolution and acquisition
          floors on BOTH legs (the ^ChurnSoak/ regexes match each leg's
@@ -47,7 +51,14 @@ Suites:
          symmetric-symmetric link relayed (nonrelayed_sym_sym == 0), a
          ceiling on relayed_edge_fraction (relay is the fallback, not
          the norm), and zero bytes copied wrapping relay frames (the
-         per-path headroom budget holds on tunneled paths).
+         per-path headroom budget holds on tunneled paths).  Both legs
+         (HostileSoak/64 and HostileSoak/64/hijack) must reproduce their
+         golden trace digests in BENCH_hostile_soak.json.
+
+"baseline_equal" compares a run only when the baseline holds a run of
+the same name built by the same compiler family (the run's "compiler"
+field): a golden digest is only known to reproduce under the compiler
+that recorded it.  Each run it skips is printed with the reason.
 
 Absolute wall-clock timings are deliberately NOT gated — CI machines are
 noisy.  Every gated counter is a deterministic count or ratio; the two
@@ -137,6 +148,11 @@ SUITES = {
         "baseline_min": [
             (r"^ChurnSoak/", "resolution_success_rate", 0.005),
         ],
+        # (name regex, counter): the fresh value must equal the committed
+        # baseline's for the same run name and compiler.
+        "baseline_equal": [
+            (r"^ChurnSoak/", "trace_digest"),
+        ],
     },
     # The 10k-node scale soak, fed both the --shards 1 leg
     # (run name ChurnSoak/<N>) and the --shards 4 leg
@@ -194,26 +210,27 @@ SUITES = {
     # every 8th node on TCP, 10 % churn.  The floors follow RFC 3489
     # punchability physics measured on the committed baseline:
     #   - anything involving a full cone is directly dialable or
-    #     trivially punched (measured 0.96-1.0);
+    #     trivially punched (measured 0.95-1.0);
     #   - cone-cone pairs punch via simultaneous open (rc-rc measured
-    #     0.72: a punch that races an eviction or a symmetric re-dial
+    #     0.83: a punch that races an eviction or a symmetric re-dial
     #     falls back to relay, which is correct behavior — hence the
     #     lenient floor);
     #   - rc-sym punches because a restricted cone filters on IP only,
     #     and the symmetric side's fresh mapping still comes from the
-    #     same IP (measured 0.94);
+    #     same IP (measured 0.92);
     #   - pr-sym and sym-sym CANNOT punch (the port-restricted side
     #     filters on the exact port, which the symmetric NAT rewrites
     #     per destination) — no rate floor, and instead
     #     nonrelayed_sym_sym == 0 pins that every such link went
     #     through the relay fallback rather than silently failing.
     # relayed_edge_fraction caps relay at fallback levels (measured
-    # 0.23 with 2/16 of type slots symmetric); relay_wrap_bytes_copied
+    # 0.25 with 2/16 of type slots symmetric); relay_wrap_bytes_copied
     # == 0 pins the per-path headroom contract on tunneled sends.
     # The CI job runs two legs through this suite: the attacker-free
     # soak (HostileSoak/<N>) and a --hijack-fraction leg
     # (HostileSoak/<N>/hijack) where a fraction of nodes forge
-    # lease/ARP writes; hijacks_succeeded == 0 gates both.
+    # lease/ARP writes; hijacks_succeeded == 0 gates both, and each must
+    # reproduce its golden trace digest.
     "hostile": {
         "default_baseline": "BENCH_hostile_soak.json",
         "zero": [
@@ -261,6 +278,9 @@ SUITES = {
         "baseline_min": [
             (r"^HostileSoak/", "resolution_success_rate", 0.005),
         ],
+        "baseline_equal": [
+            (r"^HostileSoak/", "trace_digest"),
+        ],
     },
 }
 
@@ -278,9 +298,11 @@ def runs(doc):
     }
 
 
-def check(suite, fresh_doc, baseline_doc):
-    """Returns a list of failure strings (empty = gate passes)."""
+def check(suite, fresh_doc, baseline_doc, skipped=None):
+    """Returns a list of failure strings (empty = gate passes); runs a
+    baseline_equal rule did not compare are appended to `skipped`."""
     failures = []
+    skipped = [] if skipped is None else skipped
     fresh = runs(fresh_doc)
     baseline = runs(baseline_doc) if baseline_doc else {}
 
@@ -400,6 +422,29 @@ def check(suite, fresh_doc, baseline_doc):
                     f"{name}: {counter} regressed to {value} "
                     f"(baseline {base[counter]}, tolerance {tolerance})")
 
+    for name_re, counter in suite.get("baseline_equal", ()):
+        for name, bench in matching(name_re):
+            base = baseline.get(name)
+            if base is None:
+                skipped.append(f"{name}: {counter} not compared, the "
+                               "baseline has no run of that name")
+                continue
+            if bench.get("compiler") != base.get("compiler"):
+                skipped.append(
+                    f"{name}: {counter} not compared, built by "
+                    f"{bench.get('compiler')!r} but the baseline by "
+                    f"{base.get('compiler')!r}")
+                continue
+            value, want = bench.get(counter), base.get(counter)
+            if value is None or want is None:
+                failures.append(f"{name}: counter {counter} missing "
+                                f"(fresh {value!r}, baseline {want!r})")
+            elif value != want:
+                failures.append(
+                    f"{name}: {counter} = {value!r} != baseline {want!r} "
+                    "(behaviour changed: regenerate the baseline and say "
+                    "why, or find the divergence)")
+
     return failures
 
 
@@ -513,6 +558,45 @@ def self_test(suite, fresh_doc, baseline_doc):
                   "was not caught", file=sys.stderr)
             return 1
 
+    # Flip one character of every golden-pinned counter on a run the
+    # baseline can compare (same name and compiler): the gate must fail.
+    # The same flip on a run that claims another compiler must be skipped,
+    # not failed.
+    base_runs = runs(baseline_doc) if baseline_doc else {}
+    flip_tested = False
+    for name_re, counter in suite.get("baseline_equal", ()):
+        for name, bench in runs(fresh_doc).items():
+            base = base_runs.get(name)
+            if not re.search(name_re, name) or base is None:
+                continue
+            value = str(bench.get(counter, ""))
+            flipped = value[:-1] + ("0" if value[-1:] != "0" else "1")
+
+            def mutated(compiler):
+                doc = copy.deepcopy(fresh_doc)
+                for b in doc["benchmarks"]:
+                    if b["name"] == name:
+                        b[counter] = flipped
+                        b["compiler"] = compiler
+                return doc
+
+            if bench.get("compiler") == base.get("compiler"):
+                flip_tested = True
+                if not check(suite, mutated(base.get("compiler")),
+                             baseline_doc):
+                    print(f"self-test FAILED: flipped {counter} on {name} "
+                          "was not caught", file=sys.stderr)
+                    return 1
+            other = f"not-{base.get('compiler')}"
+            if check(suite, mutated(other), baseline_doc):
+                print(f"self-test FAILED: {counter} on {name} was compared "
+                      f"across compilers ({other!r} vs "
+                      f"{base.get('compiler')!r})", file=sys.stderr)
+                return 1
+
+    if suite.get("baseline_equal") and not flip_tested:
+        print("self-test note: no fresh run shares a name and compiler with "
+              "the baseline, so the golden-digest flip was not exercised")
     print("self-test OK: gate fails on deliberately regressed counters")
     return 0
 
@@ -552,7 +636,10 @@ def main():
     if args.self_test:
         sys.exit(self_test(suite, fresh_doc, baseline_doc))
 
-    failures = check(suite, fresh_doc, baseline_doc)
+    skipped = []
+    failures = check(suite, fresh_doc, baseline_doc, skipped)
+    for note in skipped:
+        print(f"  skipped {note}")
     if failures:
         print(f"bench gate FAILED ({args.suite}):")
         for f in failures:
