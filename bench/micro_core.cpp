@@ -448,8 +448,9 @@ BENCHMARK(BM_NatForwardSim)
 // length-framed packets into the socket queue as shared handles (no
 // stream serialization copy), and UDP fan-outs share one payload buffer
 // across a sendmmsg-style batch.  `bytes_copied_per_*` counts CPU
-// memcpys on the sender (socket + stack); `bytes_gathered_per_*` is the
-// NIC-style scatter-gather walk that assembles the wire image.
+// memcpys in the sender's stack (no socket send API copies);
+// `bytes_gathered_per_*` is the NIC-style scatter-gather walk that
+// assembles the wire image.
 
 /// One Brunet-packet-sized buffer per iteration crosses a TcpEdge.  The
 /// sender must not copy the payload: framing is a separate 4-byte
@@ -479,8 +480,7 @@ void BM_TcpEdgeStreamSend(benchmark::State& state) {
   netw.loop().run_for(util::seconds(1));  // handshake + ARP warmup
   const auto& tcp_stats = client_edge->socket()->stats();
   const auto& stack_ctr = ha.stack().counters();
-  const auto copied0 =
-      tcp_stats.payload_bytes_copied + stack_ctr.payload_bytes_copied;
+  const auto copied0 = stack_ctr.payload_bytes_copied;
   const auto gathered0 =
       tcp_stats.payload_bytes_gathered + stack_ctr.payload_bytes_gathered;
   const auto received0 = received;
@@ -493,9 +493,7 @@ void BM_TcpEdgeStreamSend(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(payload_size));
   state.counters["bytes_copied_per_send"] =
-      static_cast<double>(tcp_stats.payload_bytes_copied +
-                          stack_ctr.payload_bytes_copied - copied0) /
-      iters;
+      static_cast<double>(stack_ctr.payload_bytes_copied - copied0) / iters;
   state.counters["bytes_gathered_per_send"] =
       static_cast<double>(tcp_stats.payload_bytes_gathered +
                           stack_ctr.payload_bytes_gathered - gathered0) /

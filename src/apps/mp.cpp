@@ -5,19 +5,6 @@
 
 namespace ipop::apps {
 
-namespace {
-// Wire frame: [u32 length][u32 src_rank][u32 tag][payload...]
-std::vector<std::uint8_t> frame_message(int src_rank, int tag,
-                                        const MpEndpoint::Message& payload) {
-  util::ByteWriter w(12 + payload.size());
-  w.u32(static_cast<std::uint32_t>(8 + payload.size()));
-  w.u32(static_cast<std::uint32_t>(src_rank));
-  w.u32(static_cast<std::uint32_t>(tag));
-  w.bytes(payload);
-  return w.take();
-}
-}  // namespace
-
 MpEndpoint::MpEndpoint(net::Stack& stack, int rank,
                        std::vector<net::Ipv4Address> ranks)
     : stack_(stack), rank_(rank), ranks_(std::move(ranks)) {
@@ -27,100 +14,47 @@ MpEndpoint::MpEndpoint(net::Stack& stack, int rank,
     listener_->set_accept_handler([this](std::shared_ptr<net::TcpSocket> s) {
       // Inbound sockets only ever receive; the sender is identified by the
       // src_rank field of each frame, so no handshake is needed.
-      adopt_socket(std::move(s), /*connected=*/true);
+      adopt_socket(std::move(s));
     });
   }
 }
 
 MpEndpoint::~MpEndpoint() {
   if (listener_ != nullptr) listener_->close();
-  for (auto& [id, peer] : peers_) {
-    if (peer.sock != nullptr) {
-      peer.sock->on_readable = nullptr;
-      peer.sock->on_writable = nullptr;
-      peer.sock->on_connected = nullptr;
-      peer.sock->abort();
-    }
-  }
+  for (auto& stream : streams_) stream->abort();
 }
 
-int MpEndpoint::adopt_socket(std::shared_ptr<net::TcpSocket> sock,
-                             bool connected) {
-  const int id = next_socket_id_++;
-  Peer& peer = peers_[id];
-  peer.sock = std::move(sock);
-  peer.connected = connected;
-  auto sp = peer.sock;
-  sp->on_readable = [this, id] { pump(id); };
-  sp->on_writable = [this, id] { flush(id); };
-  sp->on_connected = [this, id] {
-    peers_[id].connected = true;
-    flush(id);
+std::shared_ptr<net::FramedStream> MpEndpoint::adopt_socket(
+    std::shared_ptr<net::TcpSocket> sock) {
+  auto stream = net::FramedStream::attach(std::move(sock));
+  // Message body: [u32 src_rank][u32 tag][payload...]
+  stream->on_frame = [this](util::Buffer body) {
+    util::ByteReader r(body);
+    const int src_rank = static_cast<int>(r.u32());
+    const int tag = static_cast<int>(r.u32());
+    dispatch(src_rank, tag, r.rest_copy());
   };
-  return id;
-}
-
-void MpEndpoint::ensure_peer(int dst_rank) {
-  if (outbound_.count(dst_rank) > 0) return;
-  auto sock = stack_.tcp_connect(
-      ranks_[static_cast<std::size_t>(dst_rank)],
-      static_cast<std::uint16_t>(kBasePort + dst_rank));
-  if (sock == nullptr) return;
-  outbound_[dst_rank] = adopt_socket(std::move(sock), /*connected=*/false);
+  streams_.push_back(stream);
+  return stream;
 }
 
 void MpEndpoint::send(int dst_rank, int tag, Message payload) {
-  ensure_peer(dst_rank);
   auto out = outbound_.find(dst_rank);
-  if (out == outbound_.end()) return;  // no route to rank
-  Peer& peer = peers_[out->second];
-  auto framed = frame_message(rank_, tag, payload);
-  peer.tx_backlog.insert(peer.tx_backlog.end(), framed.begin(), framed.end());
+  if (out == outbound_.end()) {
+    // Connect lazily; frames queue in the socket until the handshake
+    // completes.
+    auto sock = stack_.tcp_connect(
+        ranks_[static_cast<std::size_t>(dst_rank)],
+        static_cast<std::uint16_t>(kBasePort + dst_rank));
+    if (sock == nullptr) return;  // no route to rank
+    out = outbound_.emplace(dst_rank, adopt_socket(std::move(sock))).first;
+  }
+  util::ByteWriter w(8 + payload.size());
+  w.u32(static_cast<std::uint32_t>(rank_));
+  w.u32(static_cast<std::uint32_t>(tag));
+  w.bytes(payload);
   ++sent_;
-  if (peer.connected) flush(out->second);
-}
-
-void MpEndpoint::flush(int socket_id) {
-  auto it = peers_.find(socket_id);
-  if (it == peers_.end() || it->second.sock == nullptr ||
-      !it->second.connected) {
-    return;
-  }
-  Peer& peer = it->second;
-  while (!peer.tx_backlog.empty()) {
-    const std::size_t n = peer.sock->send(peer.tx_backlog);
-    if (n == 0) break;
-    peer.tx_backlog.erase(peer.tx_backlog.begin(),
-                          peer.tx_backlog.begin() + n);
-  }
-}
-
-void MpEndpoint::pump(int socket_id) {
-  auto it = peers_.find(socket_id);
-  if (it == peers_.end() || it->second.sock == nullptr) return;
-  Peer& peer = it->second;
-  while (true) {
-    auto chunk = peer.sock->receive(64 * 1024);
-    if (chunk.empty()) break;
-    peer.rx_buf.insert(peer.rx_buf.end(), chunk.begin(), chunk.end());
-  }
-  auto& buf = peer.rx_buf;
-  std::size_t pos = 0;
-  while (buf.size() - pos >= 4) {
-    const std::uint32_t len = static_cast<std::uint32_t>(buf[pos]) << 24 |
-                              static_cast<std::uint32_t>(buf[pos + 1]) << 16 |
-                              static_cast<std::uint32_t>(buf[pos + 2]) << 8 |
-                              static_cast<std::uint32_t>(buf[pos + 3]);
-    if (len < 8 || buf.size() - pos - 4 < len) break;
-    util::ByteReader r(
-        std::span<const std::uint8_t>(buf.data() + pos + 4, len));
-    const int src_rank = static_cast<int>(r.u32());
-    const int tag = static_cast<int>(r.u32());
-    Message payload = r.rest_copy();
-    pos += 4 + len;
-    dispatch(src_rank, tag, std::move(payload));
-  }
-  buf.erase(buf.begin(), buf.begin() + pos);
+  out->second->send(util::BufferChain(util::Buffer::wrap(w.take())));
 }
 
 void MpEndpoint::dispatch(int src_rank, int tag, Message payload) {

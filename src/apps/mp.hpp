@@ -15,6 +15,7 @@
 #include <memory>
 #include <vector>
 
+#include "net/framed_stream.hpp"
 #include "net/stack.hpp"
 
 namespace ipop::apps {
@@ -55,29 +56,20 @@ class MpEndpoint {
     int tag;
     Message payload;
   };
-  struct Peer {
-    std::shared_ptr<net::TcpSocket> sock;
-    std::vector<std::uint8_t> rx_buf;
-    std::vector<std::uint8_t> tx_backlog;
-    bool connected = false;
-  };
 
-  /// Register a socket (inbound or outbound) under a fresh id.
-  int adopt_socket(std::shared_ptr<net::TcpSocket> sock, bool connected);
-  void ensure_peer(int dst_rank);
-  void pump(int socket_id);
+  /// Wire an inbound or outbound socket as a message stream.
+  std::shared_ptr<net::FramedStream> adopt_socket(
+      std::shared_ptr<net::TcpSocket> sock);
   void dispatch(int src_rank, int tag, Message payload);
-  void flush(int socket_id);
 
   net::Stack& stack_;
   int rank_;
   std::vector<net::Ipv4Address> ranks_;
   std::shared_ptr<net::TcpListener> listener_;
-  // All sockets by id; senders are identified per-frame, so inbound and
-  // outbound connections never need correlating.
-  std::map<int, Peer> peers_;
-  std::map<int, int> outbound_;  // dst_rank -> socket id
-  int next_socket_id_ = 1;
+  // Every stream, inbound and outbound: senders are identified per
+  // frame, so the two directions never need correlating.
+  std::vector<std::shared_ptr<net::FramedStream>> streams_;
+  std::map<int, std::shared_ptr<net::FramedStream>> outbound_;  // by dst rank
   std::deque<Pending> pending_;
   std::deque<Unexpected> unexpected_;
   std::uint64_t sent_ = 0;

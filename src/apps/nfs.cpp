@@ -6,9 +6,10 @@
 
 namespace ipop::apps {
 
-// Wire protocol (over one TCP connection, strictly one request in flight):
-//   request:  [u32 frame_len][lp_string name][u64 offset][u32 len]
-//   response: [u32 frame_len][u8 status][lp_bytes data]
+// Wire protocol (net::FramedStream messages over one TCP connection,
+// strictly one request in flight):
+//   request:  [lp_string name][u64 offset][u32 len]
+//   response: [u8 status][lp_bytes data]
 
 namespace {
 /// Bytes per block RPC, and per cached block.
@@ -46,58 +47,31 @@ void NfsServer::add_file(const std::string& name, std::uint64_t size) {
 }
 
 void NfsServer::serve(std::shared_ptr<net::TcpSocket> sock) {
-  auto buf = std::make_shared<std::vector<std::uint8_t>>();
-  auto sp = sock;
-  sock->on_readable = [this, sp, buf] {
-    while (true) {
-      auto chunk = sp->receive(64 * 1024);
-      if (chunk.empty()) break;
-      buf->insert(buf->end(), chunk.begin(), chunk.end());
-    }
-    std::size_t pos = 0;
-    while (buf->size() - pos >= 4) {
-      const auto* b = buf->data() + pos;
-      const std::uint32_t frame_len =
-          static_cast<std::uint32_t>(b[0]) << 24 |
-          static_cast<std::uint32_t>(b[1]) << 16 |
-          static_cast<std::uint32_t>(b[2]) << 8 | b[3];
-      if (buf->size() - pos - 4 < frame_len) break;
-      util::ByteReader r(
-          std::span<const std::uint8_t>(buf->data() + pos + 4, frame_len));
-      pos += 4 + frame_len;
-      try {
-        const std::string name = r.lp_string();
-        const std::uint64_t offset = r.u64();
-        const std::uint32_t len = r.u32();
-        ++stats_.requests;
+  auto stream = net::FramedStream::attach(std::move(sock));
+  stream->on_frame = [this, s = stream.get()](util::Buffer request) {
+    util::ByteReader r(request);
+    const std::string name = r.lp_string();
+    const std::uint64_t offset = r.u64();
+    const std::uint32_t len = r.u32();
+    ++stats_.requests;
 
-        util::ByteWriter w;
-        auto file = files_.find(name);
-        if (file == files_.end() || offset >= file->second) {
-          w.u8(0);  // not found / EOF
-          w.lp_bytes({});
-        } else {
-          const std::uint64_t n =
-              std::min<std::uint64_t>(len, file->second - offset);
-          std::vector<std::uint8_t> data(static_cast<std::size_t>(n));
-          for (std::uint64_t i = 0; i < n; ++i) {
-            data[static_cast<std::size_t>(i)] = content_byte(name, offset + i);
-          }
-          stats_.bytes_served += n;
-          w.u8(1);
-          w.lp_bytes(data);
-        }
-        util::ByteWriter framed(4 + w.size());
-        framed.u32(static_cast<std::uint32_t>(w.size()));
-        framed.bytes(w.data());
-        auto out = framed.take();
-        sp->send(out);
-      } catch (const util::ParseError&) {
-        sp->abort();
-        return;
+    util::ByteWriter w;
+    auto file = files_.find(name);
+    if (file == files_.end() || offset >= file->second) {
+      w.u8(0);  // not found / EOF
+      w.lp_bytes({});
+    } else {
+      const std::uint64_t n =
+          std::min<std::uint64_t>(len, file->second - offset);
+      std::vector<std::uint8_t> data(static_cast<std::size_t>(n));
+      for (std::uint64_t i = 0; i < n; ++i) {
+        data[static_cast<std::size_t>(i)] = content_byte(name, offset + i);
       }
+      stats_.bytes_served += n;
+      w.u8(1);
+      w.lp_bytes(data);
     }
-    buf->erase(buf->begin(), buf->begin() + pos);
+    s->send(util::BufferChain(util::Buffer::wrap(w.take())));
   };
 }
 
@@ -106,18 +80,19 @@ NfsClient::NfsClient(net::Host& host, net::Ipv4Address server,
     : host_(host), server_(server), port_(port) {}
 
 void NfsClient::ensure_connected() {
-  if (sock_ != nullptr) return;
-  sock_ = host_.stack().tcp_connect(server_, port_);
-  if (sock_ == nullptr) return;
-  sock_->on_connected = [this] {
+  if (stream_ != nullptr) return;
+  auto sock = host_.stack().tcp_connect(server_, port_);
+  if (sock == nullptr) return;
+  sock->on_connected = [this] {
     connected_ = true;
     issue_next();
   };
-  sock_->on_readable = [this] { on_data(); };
-  sock_->on_closed = [this](const std::string&) {
+  sock->on_closed = [this](const std::string&) {
     connected_ = false;
-    sock_ = nullptr;
+    stream_ = nullptr;
   };
+  stream_ = net::FramedStream::attach(std::move(sock));
+  stream_->on_frame = [this](util::Buffer reply) { on_reply(reply); };
 }
 
 void NfsClient::read_block(const std::string& name, std::uint64_t block_index,
@@ -155,44 +130,20 @@ void NfsClient::issue_next() {
   w.lp_string(rpc.name);
   w.u64(rpc.offset);
   w.u32(rpc.len);
-  util::ByteWriter framed(4 + w.size());
-  framed.u32(static_cast<std::uint32_t>(w.size()));
-  framed.bytes(w.data());
-  auto out = framed.take();
-  sock_->send(out);
+  stream_->send(util::BufferChain(util::Buffer::wrap(w.take())));
 }
 
-void NfsClient::on_data() {
-  while (true) {
-    auto chunk = sock_->receive(64 * 1024);
-    if (chunk.empty()) break;
-    rx_buf_.insert(rx_buf_.end(), chunk.begin(), chunk.end());
+void NfsClient::on_reply(const util::Buffer& reply) {
+  util::ByteReader r(reply);
+  r.u8();  // status (synthetic files always resolve)
+  auto data = r.lp_bytes();
+  if (!queue_.empty()) {
+    auto rpc = std::move(queue_.front());
+    queue_.erase(queue_.begin());
+    in_flight_ = false;
+    rpc.done(std::move(data));
   }
-  while (rx_buf_.size() >= 4) {
-    const std::uint32_t frame_len =
-        static_cast<std::uint32_t>(rx_buf_[0]) << 24 |
-        static_cast<std::uint32_t>(rx_buf_[1]) << 16 |
-        static_cast<std::uint32_t>(rx_buf_[2]) << 8 | rx_buf_[3];
-    if (rx_buf_.size() - 4 < frame_len) break;
-    std::vector<std::uint8_t> data;
-    try {
-      util::ByteReader r(
-          std::span<const std::uint8_t>(rx_buf_.data() + 4, frame_len));
-      r.u8();  // status (synthetic files always resolve)
-      data = r.lp_bytes();
-    } catch (const util::ParseError&) {
-      rx_buf_.clear();
-      return;
-    }
-    rx_buf_.erase(rx_buf_.begin(), rx_buf_.begin() + 4 + frame_len);
-    if (!queue_.empty()) {
-      auto rpc = std::move(queue_.front());
-      queue_.erase(queue_.begin());
-      in_flight_ = false;
-      rpc.done(std::move(data));
-    }
-    issue_next();
-  }
+  issue_next();
 }
 
 void NfsClient::read_file(const std::string& name, std::uint64_t size,

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "net/framed_stream.hpp"
 #include "net/host.hpp"
 
 namespace ipop::apps {
@@ -85,14 +86,13 @@ class NfsClient {
 
   void ensure_connected();
   void issue_next();
-  void on_data();
+  void on_reply(const util::Buffer& reply);
 
   net::Host& host_;
   net::Ipv4Address server_;
   std::uint16_t port_;
-  std::shared_ptr<net::TcpSocket> sock_;
+  std::shared_ptr<net::FramedStream> stream_;
   bool connected_ = false;
-  std::vector<std::uint8_t> rx_buf_;
   std::vector<Rpc> queue_;  // FIFO; one outstanding RPC (synchronous NFS)
   bool in_flight_ = false;
   std::set<std::pair<std::string, std::uint64_t>> cache_;  // (file, block)

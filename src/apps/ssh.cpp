@@ -1,39 +1,19 @@
 #include "apps/ssh.hpp"
 
-#include "util/bytes.hpp"
+#include "net/framed_stream.hpp"
 
 namespace ipop::apps {
 
 namespace {
 
-/// Length-prefixed string framing over a TCP socket; calls `cb` with each
-/// complete message.  Stores partial data in an external buffer.
-class MessageReader {
- public:
-  /// Returns complete messages extracted from `buf` after appending data.
-  static std::vector<std::string> drain(std::vector<std::uint8_t>& buf) {
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (buf.size() - pos >= 4) {
-      const std::uint32_t len = static_cast<std::uint32_t>(buf[pos]) << 24 |
-                                static_cast<std::uint32_t>(buf[pos + 1]) << 16 |
-                                static_cast<std::uint32_t>(buf[pos + 2]) << 8 |
-                                static_cast<std::uint32_t>(buf[pos + 3]);
-      if (buf.size() - pos - 4 < len) break;
-      out.emplace_back(reinterpret_cast<const char*>(buf.data() + pos + 4),
-                       len);
-      pos += 4 + len;
-    }
-    buf.erase(buf.begin(), buf.begin() + pos);
-    return out;
-  }
+util::BufferChain text_body(const std::string& text) {
+  return util::BufferChain(
+      util::Buffer::wrap(std::vector<std::uint8_t>(text.begin(), text.end())));
+}
 
-  static std::vector<std::uint8_t> frame(const std::string& msg) {
-    util::ByteWriter w(4 + msg.size());
-    w.lp_string(msg);
-    return w.take();
-  }
-};
+std::string body_text(const util::Buffer& body) {
+  return std::string(body.begin(), body.end());
+}
 
 }  // namespace
 
@@ -56,27 +36,19 @@ void ExecServer::register_command(const std::string& name,
 }
 
 void ExecServer::handle_request(std::shared_ptr<net::TcpSocket> sock) {
-  auto buf = std::make_shared<std::vector<std::uint8_t>>();
-  auto sp = sock;
-  sock->on_readable = [this, sp, buf] {
-    while (true) {
-      auto chunk = sp->receive(4096);
-      if (chunk.empty()) break;
-      buf->insert(buf->end(), chunk.begin(), chunk.end());
-    }
-    for (const auto& msg : MessageReader::drain(*buf)) {
-      ++served_;
-      const auto space = msg.find(' ');
-      const std::string name = msg.substr(0, space);
-      const std::string args =
-          space == std::string::npos ? "" : msg.substr(space + 1);
-      std::string result = "sh: command not found: " + name;
-      auto it = commands_.find(name);
-      if (it != commands_.end()) result = it->second(args);
-      auto framed = MessageReader::frame(result);
-      sp->send(framed);
-      sp->close();
-    }
+  auto stream = net::FramedStream::attach(std::move(sock));
+  stream->on_frame = [this, s = stream.get()](util::Buffer body) {
+    ++served_;
+    const std::string msg = body_text(body);
+    const auto space = msg.find(' ');
+    const std::string name = msg.substr(0, space);
+    const std::string args =
+        space == std::string::npos ? "" : msg.substr(space + 1);
+    std::string result = "sh: command not found: " + name;
+    auto it = commands_.find(name);
+    if (it != commands_.end()) result = it->second(args);
+    s->send(text_body(result));
+    s->close();
   };
 }
 
@@ -89,27 +61,17 @@ void exec_remote(net::Stack& stack, net::Ipv4Address host,
     done(std::nullopt);
     return;
   }
-  auto buf = std::make_shared<std::vector<std::uint8_t>>();
   auto done_p =
       std::make_shared<std::function<void(std::optional<std::string>)>>(
           std::move(done));
-  sock->on_connected = [sock, command] {
-    auto framed = MessageReader::frame(command);
-    sock->send(framed);
-  };
-  sock->on_readable = [sock, buf, done_p] {
-    while (true) {
-      auto chunk = sock->receive(4096);
-      if (chunk.empty()) break;
-      buf->insert(buf->end(), chunk.begin(), chunk.end());
-    }
-    auto msgs = MessageReader::drain(*buf);
-    if (!msgs.empty() && *done_p) {
-      auto cb = std::move(*done_p);
-      *done_p = nullptr;
-      cb(msgs.front());
-      sock->close();
-    }
+  auto stream = net::FramedStream::attach(sock);
+  sock->on_connected = [stream, command] { stream->send(text_body(command)); };
+  stream->on_frame = [s = stream.get(), done_p](util::Buffer body) {
+    if (!*done_p) return;
+    auto cb = std::move(*done_p);
+    *done_p = nullptr;
+    cb(body_text(body));
+    s->close();
   };
   sock->on_closed = [done_p](const std::string&) {
     if (*done_p) {

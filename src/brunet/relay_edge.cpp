@@ -1,5 +1,7 @@
 #include "brunet/relay_edge.hpp"
 
+#include "util/bytes.hpp"
+
 namespace ipop::brunet {
 
 util::Buffer RelayEdge::wrap(util::Buffer inner) {
@@ -65,15 +67,9 @@ void RelayEdge::close() {
 }
 
 TransportAddress RelayEdge::remote() const {
-  const auto& rb = relay_.bytes();
-  const auto& pb = peer_.bytes();
-  const std::uint32_t ip = static_cast<std::uint32_t>(rb[0]) << 24 |
-                           static_cast<std::uint32_t>(rb[1]) << 16 |
-                           static_cast<std::uint32_t>(rb[2]) << 8 |
-                           static_cast<std::uint32_t>(rb[3]);
-  const std::uint16_t port =
-      static_cast<std::uint16_t>(pb[0] << 8 | pb[1]);
-  return {TransportAddress::Proto::kRelay, net::Ipv4Address(ip), port};
+  return {TransportAddress::Proto::kRelay,
+          net::Ipv4Address(util::load_u32(relay_.bytes().data())),
+          util::load_u16(peer_.bytes().data())};
 }
 
 }  // namespace ipop::brunet

@@ -38,38 +38,16 @@ TcpEdge::TcpEdge(sim::EventLoop& loop, std::shared_ptr<net::TcpSocket> sock)
 
 void TcpEdge::attach() {
   auto self = shared_from_this();
-  sock_->on_readable = [self] { self->pump(); };
+  auto stream = net::FramedStream::attach(sock_);
+  stream->on_frame = [self](util::Buffer packet) {
+    self->deliver(self->loop_.now(), std::move(packet));
+  };
+  stream->on_eof = [self] { self->close(); };
+  stream_ = stream;
   sock_->on_closed = [self](const std::string&) {
     self->up_ = false;
     self->notify_closed();
   };
-  sock_->on_writable = [self] {
-    // Flush any backlog that did not fit the socket buffer: the socket
-    // links the chain's shared handles in place, so the flush moves no
-    // bytes and copies no handles.
-    if (!self->tx_backlog_.empty()) {
-      self->sock_->send_from(self->tx_backlog_);
-    }
-  };
-}
-
-util::BufferChain TcpEdge::frame(util::BufferChain chain) {
-  // The length prefix rides its own 4-byte segment; the packet bytes are
-  // linked behind it untouched (no stream serialization copy).
-  auto hdr = util::Buffer::allocate(4, 0);
-  util::store_u32(hdr.data(), static_cast<std::uint32_t>(chain.size()));
-  chain.prepend(std::move(hdr));
-  return chain;
-}
-
-void TcpEdge::enqueue(util::BufferChain framed) {
-  if (!tx_backlog_.empty()) {
-    // Earlier frames are still queued: preserve stream order.
-    tx_backlog_.append(std::move(framed));
-    return;
-  }
-  sock_->send_from(framed);  // consumes the accepted prefix in place
-  if (!framed.empty()) tx_backlog_ = std::move(framed);
 }
 
 void TcpEdge::send(util::Buffer bytes) {
@@ -79,52 +57,19 @@ void TcpEdge::send(util::Buffer bytes) {
 void TcpEdge::send_chain(util::BufferChain chain) {
   if (!up_) return;
   ++tx_;
-  enqueue(frame(std::move(chain)));
+  if (auto stream = stream_.lock()) stream->send(std::move(chain));
 }
 
 void TcpEdge::send_batch(std::vector<util::BufferChain> chains) {
   if (!up_) return;
-  util::BufferChain all;
-  for (auto& c : chains) {
-    ++tx_;
-    all.append(frame(std::move(c)));
-  }
-  // All frames cross the socket in one gathered write.
-  enqueue(std::move(all));
-}
-
-void TcpEdge::pump() {
-  while (true) {
-    auto chunk = sock_->receive(64 * 1024);
-    if (chunk.empty()) break;
-    rx_buf_.insert(rx_buf_.end(), chunk.begin(), chunk.end());
-  }
-  // Extract complete frames.
-  std::size_t pos = 0;
-  while (rx_buf_.size() - pos >= 4) {
-    const std::uint32_t len = static_cast<std::uint32_t>(rx_buf_[pos]) << 24 |
-                              static_cast<std::uint32_t>(rx_buf_[pos + 1]) << 16 |
-                              static_cast<std::uint32_t>(rx_buf_[pos + 2]) << 8 |
-                              static_cast<std::uint32_t>(rx_buf_[pos + 3]);
-    if (rx_buf_.size() - pos - 4 < len) break;
-    // lint:allow(zero-copy): stream reframing — bytes leave the shared TCP rx ring exactly once
-    auto frame = util::Buffer::copy_of(
-        std::span<const std::uint8_t>(rx_buf_.data() + pos + 4, len));
-    pos += 4 + len;
-    deliver(loop_.now(), std::move(frame));
-  }
-  rx_buf_.erase(rx_buf_.begin(), rx_buf_.begin() + pos);
-  if (sock_->eof() && up_) {
-    up_ = false;
-    sock_->close();
-    notify_closed();
-  }
+  tx_ += chains.size();
+  if (auto stream = stream_.lock()) stream->send_batch(std::move(chains));
 }
 
 void TcpEdge::close() {
   if (!up_) return;
   up_ = false;
-  sock_->close();
+  if (auto stream = stream_.lock()) stream->close();
   notify_closed();
 }
 

@@ -1,8 +1,8 @@
 // Transport edges: the point-to-point legs of the overlay.
 //
 // Brunet can run over TCP or UDP (the paper evaluates both modes in Tables
-// I-III).  A TcpEdge frames packets onto a TCP stream with a length
-// prefix; UdpEdges share one UDP socket per node and are demultiplexed by
+// I-III).  A TcpEdge carries packets as messages of a net::FramedStream;
+// UdpEdges share one UDP socket per node and are demultiplexed by
 // remote endpoint.  UDP edges come up as soon as a packet arrives from the
 // remote — exactly the property the decentralized NAT traversal of Section
 // III-D exploits (both sides fire probes; whichever direction the NAT
@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "net/framed_stream.hpp"
 #include "net/host.hpp"
 #include "util/buffer.hpp"
 #include "util/buffer_chain.hpp"
@@ -117,11 +118,9 @@ class Edge {
   std::uint64_t rx_ = 0;
 };
 
-/// TCP edge: length-prefixed packets over a stream socket.  Framing is
-/// scatter-gather: the 4-byte length prefix rides its own tiny segment in
-/// front of the packet buffer, and the chain is linked straight into the
-/// socket's send queue — the length-framed stream copy of the historical
-/// path (frame vector build + socket enqueue) is gone.
+/// TCP edge: one Brunet packet per net::FramedStream message.  The packet
+/// buffers are linked behind the 4-byte length prefix straight into the
+/// socket's send queue, with no stream serialization copy.
 class TcpEdge : public Edge, public std::enable_shared_from_this<TcpEdge> {
  public:
   TcpEdge(sim::EventLoop& loop, std::shared_ptr<net::TcpSocket> sock);
@@ -143,17 +142,12 @@ class TcpEdge : public Edge, public std::enable_shared_from_this<TcpEdge> {
   const std::shared_ptr<net::TcpSocket>& socket() const { return sock_; }
 
  private:
-  void pump();
-  /// Prepend the 4-byte length prefix as its own segment.
-  static util::BufferChain frame(util::BufferChain chain);
-  /// Link `framed` into the socket queue, spilling what does not fit
-  /// into the backlog chain (flushed from on_writable).
-  void enqueue(util::BufferChain framed);
-
   sim::EventLoop& loop_;
   std::shared_ptr<net::TcpSocket> sock_;
-  std::vector<std::uint8_t> rx_buf_;
-  util::BufferChain tx_backlog_;  // frames the socket couldn't take
+  /// Held by the socket's callbacks, and it holds this edge: the edge
+  /// lives while its socket is wired, and a strong handle here would
+  /// close a cycle that outlives the stack.
+  std::weak_ptr<net::FramedStream> stream_;
   bool up_ = true;
 };
 

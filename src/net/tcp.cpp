@@ -437,27 +437,6 @@ void TcpSocket::handle_frag_needed(std::size_t next_hop_mtu) {
 // Application interface
 // ---------------------------------------------------------------------------
 
-std::size_t TcpSocket::send(std::span<const std::uint8_t> data) {
-  if (state_ != TcpState::kEstablished && state_ != TcpState::kCloseWait &&
-      state_ != TcpState::kSynSent && state_ != TcpState::kSynRcvd) {
-    return 0;
-  }
-  if (fin_queued_) return 0;
-  const std::size_t take = std::min(send_space(), data.size());
-  if (take > 0) {
-    // The historical owning path: one user/socket copy into a fresh
-    // queue segment.
-    stats_.payload_bytes_copied += take;
-    // lint:allow(zero-copy): historical span-send path, counted; zero-copy callers pass Buffer/chain
-    send_queue_.append(util::Buffer::copy_of(data.subspan(0, take)));
-  }
-  if (take < data.size()) send_buf_was_full_ = true;
-  if (state_ == TcpState::kEstablished || state_ == TcpState::kCloseWait) {
-    output();
-  }
-  return take;
-}
-
 std::size_t TcpSocket::send(util::Buffer data) {
   return send(util::BufferChain(std::move(data)));
 }

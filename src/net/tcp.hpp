@@ -13,7 +13,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -66,10 +65,6 @@ struct TcpStats {
   std::uint64_t fast_retransmits = 0;
   std::uint64_t timeouts = 0;
   std::uint64_t dup_acks_received = 0;
-  /// Payload bytes memcpy'd at the send API (the user/kernel crossing):
-  /// the span overload copies into a queue segment; the Buffer/chain
-  /// overloads link shared handles instead and cost 0.
-  std::uint64_t payload_bytes_copied = 0;
   /// Send-queue bytes gathered into segment wire images — the simulated
   /// NIC's scatter-gather walk (DMA descriptor work, not CPU copies).
   std::uint64_t payload_bytes_gathered = 0;
@@ -92,13 +87,12 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
 
   ~TcpSocket();
 
-  /// Queue bytes for transmission; returns how many were accepted
-  /// (bounded by send-buffer space).  This overload copies once into a
-  /// fresh queue segment (counted in TcpStats::payload_bytes_copied).
-  std::size_t send(std::span<const std::uint8_t> data);
-  /// Zero-copy send: the buffer handle is linked into the send queue
-  /// (bytes stay where they are until segments gather them for the
-  /// wire).  Partial accepts link a sub-buffer share of the prefix.
+  /// Three ways to queue bytes for transmission.  Each returns how many
+  /// bytes it accepted (bounded by send-buffer space), and none copies
+  /// them: shared handles are linked into the send queue, and segments
+  /// gather the bytes for the wire.
+  ///
+  /// One buffer; a partial accept links a sub-buffer share of the prefix.
   std::size_t send(util::Buffer data);
   /// writev-style scatter-gather send: every chain segment is linked
   /// into the send queue without copying.

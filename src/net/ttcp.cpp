@@ -1,6 +1,6 @@
 #include "net/ttcp.hpp"
 
-#include <vector>
+#include <algorithm>
 
 namespace ipop::net {
 
@@ -66,18 +66,19 @@ void TtcpSender::run(Ipv4Address dst, std::uint16_t port, const Options& opts,
 }
 
 void TtcpSender::pump() {
-  static const std::vector<std::uint8_t> pattern = [] {
-    std::vector<std::uint8_t> v(64 * 1024);
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      v[i] = static_cast<std::uint8_t>(i * 131);
+  // Every write is a share of one read-only pattern buffer.
+  static const util::Buffer pattern = [] {
+    auto b = util::Buffer::allocate(64 * 1024, 0);
+    auto bytes = b.writable();
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      bytes[i] = static_cast<std::uint8_t>(i * 131);
     }
-    return v;
+    return b;
   }();
   while (queued_ < opts_.total_bytes) {
     const std::size_t want = static_cast<std::size_t>(
         std::min<std::uint64_t>(opts_.write_chunk, opts_.total_bytes - queued_));
-    const std::size_t sent = sock_->send(
-        std::span<const std::uint8_t>(pattern.data(), want));
+    const std::size_t sent = sock_->send(pattern.share(0, want));
     queued_ += sent;
     if (sent < want) return;  // buffer full; resume on_writable
   }

@@ -226,6 +226,9 @@ inline std::uint16_t load_u16(const std::uint8_t* p) {
   return static_cast<std::uint16_t>(static_cast<std::uint16_t>(p[0]) << 8 |
                                     p[1]);
 }
+inline std::uint32_t load_u32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(load_u16(p)) << 16 | load_u16(p + 2);
+}
 
 /// Render bytes as lowercase hex (diagnostics and test assertions).
 std::string to_hex(std::span<const std::uint8_t> data);

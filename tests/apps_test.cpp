@@ -81,6 +81,27 @@ TEST_F(AppsFixture, ExecToDeadHostFails) {
   EXPECT_FALSE(result.has_value());
 }
 
+TEST_F(AppsFixture, ExecReplyLargerThanSendBufferArrivesWhole) {
+  // The reply outgrows the 64 KiB socket send buffer: the refused tail
+  // must wait in the stream's backlog and the close must wait for it.
+  build(2);
+  ExecServer server(hosts[1]->stack());
+  const std::string big(100 * 1024, 'x');
+  server.register_command("cat", [&](const std::string&) { return big; });
+  std::optional<std::string> result;
+  bool called = false;
+  exec_remote(hosts[0]->stack(), addr(1), "cat bigfile",
+              [&](std::optional<std::string> r) {
+                result = std::move(r);
+                called = true;
+              });
+  net.loop().run_until(seconds(30));
+  ASSERT_TRUE(called);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->size(), big.size());
+  EXPECT_EQ(*result, big);
+}
+
 // --- Message passing -----------------------------------------------------------
 
 TEST_F(AppsFixture, TaggedSendRecv) {
@@ -163,6 +184,29 @@ TEST_F(AppsFixture, BidirectionalTraffic) {
   e0.send(1, 1, {});
   net.loop().run_until(seconds(30));
   EXPECT_EQ(pongs, 10);
+}
+
+TEST_F(AppsFixture, MalformedFrameAbortsMessageConnection) {
+  // A frame too short for the [src_rank][tag] header is malformed: the
+  // endpoint aborts the connection rather than stalling every frame
+  // behind it.
+  build(2);
+  std::vector<net::Ipv4Address> ranks{addr(0), addr(1)};
+  MpEndpoint e1(hosts[1]->stack(), 1, ranks);
+  auto raw = hosts[0]->stack().tcp_connect(addr(1), MpEndpoint::kBasePort + 1);
+  ASSERT_NE(raw, nullptr);
+  std::optional<std::string> close_reason;
+  raw->on_closed = [&](const std::string& reason) { close_reason = reason; };
+  raw->on_connected = [&] {
+    const std::vector<std::uint8_t> bytes{
+        0, 0, 0, 4, 0xde, 0xad, 0xbe, 0xef,  // len 4: no room for the tag
+        0, 0, 0, 12, 0, 0, 0, 0, 0, 0, 0, 3, 1, 2, 3, 4};  // a valid frame
+    raw->send(util::Buffer::copy_of(bytes));
+  };
+  net.loop().run_until(seconds(5));
+  ASSERT_TRUE(close_reason.has_value());
+  EXPECT_FALSE(close_reason->empty());
+  EXPECT_EQ(e1.messages_received(), 0u);
 }
 
 TEST_F(AppsFixture, LambootBootsAllRanks) {

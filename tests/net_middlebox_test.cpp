@@ -191,7 +191,7 @@ TEST_P(NatFixture, TcpThroughNatWorksOutbound) {
   auto client = inside->stack().tcp_connect(ip("8.0.0.10"), 80);
   ASSERT_NE(client, nullptr);
   client->on_connected = [&] {
-    client->send(std::vector<std::uint8_t>{9, 8, 7});
+    client->send(util::Buffer::copy_of(std::vector<std::uint8_t>{9, 8, 7}));
   };
   net.loop().run_until(seconds(5));
   EXPECT_EQ(got, (std::vector<std::uint8_t>{9, 8, 7}));
@@ -802,7 +802,7 @@ TEST_F(NatTcpFixture, EstablishedMappingOutlivesUdpIdleTimer) {
     auto chunk = server->receive(4096);
     got.insert(got.end(), chunk.begin(), chunk.end());
   };
-  client->send(std::vector<std::uint8_t>{1, 2, 3});
+  client->send(util::Buffer::copy_of(std::vector<std::uint8_t>{1, 2, 3}));
   net.loop().run_until(seconds(125));
   EXPECT_EQ(got, (std::vector<std::uint8_t>{1, 2, 3}));
 }

@@ -162,7 +162,7 @@ NagleRun nagle_small_writes(bool nagle) {
   client->on_connected = [&] {
     for (int i = 0; i < kWrites; ++i) {
       std::vector<std::uint8_t> small(100, static_cast<std::uint8_t>(i));
-      client->send(small);
+      client->send(util::Buffer::copy_of(small));
     }
   };
   while (received < kWrites * 100 && net.loop().now() < t0 + seconds(60)) {

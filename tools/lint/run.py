@@ -58,18 +58,13 @@ rules may be listed comma-separated: ``lint:allow(zero-copy,determinism): why``.
 A pragma whose rule fires on no line it covers is itself a finding
 (``lint-pragma``): an exception outlives nothing it excuses.
 
-Engines: when the Python libclang bindings (clang.cindex) are importable
-and a libclang shared object is found, range-for container types are
-resolved from the AST of each translation unit in the CMake-exported
-compile_commands.json (precise against typedefs/auto).  Otherwise a
-built-in lexer engine resolves container types from declarations seen
-across the repo (sound for this codebase's style, and what the
-self-test fixtures pin down).  All other checks are token/statement
-level and identical under both engines.
+Range-for container types are resolved by a built-in lexer from the
+declarations seen across the repo (sound for this codebase's style, and
+what the self-test fixtures pin down).  All other checks are
+token/statement level.
 
 Usage:
-    tools/lint/run.py [--build-dir BUILD] [--engine auto|clang|text]
-                      [--json OUT.json] [--self-test] [paths...]
+    tools/lint/run.py [--json OUT.json] [--self-test] [paths...]
 
 Exit status: 0 = clean (or self-test passed), 1 = findings (or
 self-test failed), 2 = usage/environment error.
@@ -416,8 +411,7 @@ def iter_range_fors(text: str):
         yield m.start(), range_expr, body
 
 
-def check_determinism(sf: SourceFile, findings: list, unordered_names: set,
-                      clang_unordered_fors=None):
+def check_determinism(sf: SourceFile, findings: list, unordered_names: set):
     text = sf.blanked
     for pat, what in BANNED_CALLS:
         for m in pat.finditer(text):
@@ -425,20 +419,6 @@ def check_determinism(sf: SourceFile, findings: list, unordered_names: set,
                 sf.path, line_of_offset(text, m.start()), "determinism",
                 f"{what} breaks bit-for-bit reproducible runs; use the "
                 "EventLoop clock / seeded util::Rng"))
-
-    if clang_unordered_fors is not None:
-        # AST-resolved: list of (line, range_spelling, body_first, body_last).
-        lines = text.split("\n")
-        for ln, spelling, b0, b1 in clang_unordered_fors:
-            body = "\n".join(lines[b0 - 1:min(b1, len(lines))])
-            m = WIRE_CALL_RE.search(body)
-            if m:
-                findings.append(Finding(
-                    sf.path, ln, "determinism",
-                    f"range-for over unordered container '{spelling}' "
-                    f"reaches wire/ordering call '{m.group(0).rstrip('(').strip()}' "
-                    "— hash iteration order leaks into the wire/DHT"))
-        return
 
     for off, range_expr, body in iter_range_fors(text):
         name = base_identifier(range_expr)
@@ -572,104 +552,22 @@ def check_shard_affinity(sf: SourceFile, findings: list):
                 "send side of the channel"))
 
 
-# --- clang engine (optional refinement) -------------------------------------
-
-def try_load_clang():
-    try:
-        import clang.cindex as cindex  # type: ignore
-    except ImportError:
-        return None
-    try:
-        cindex.Index.create()
-        return cindex
-    except Exception:
-        pass
-    # Bindings importable but the default libclang didn't load: probe the
-    # common sonames once (Config may only be set before the first load).
-    for name in ("libclang.so", "libclang-18.so", "libclang-17.so",
-                 "libclang-16.so", "libclang-15.so", "libclang-14.so.1"):
-        try:
-            cindex.Config.set_library_file(name)
-            cindex.Index.create()
-            return cindex
-        except Exception:
-            continue
-    return None
-
-
-def clang_unordered_fors_for_file(cindex, cc_entry, abs_path):
-    """Parse one TU and return [(line, spelling, body_first, body_last)]
-    for every range-for whose range expression has an unordered_map/set
-    canonical type.  Only cursors in the main file are reported."""
-    args = [a for a in cc_entry if a not in ("-c", "-o")]
-    # Drop the compiler argv[0], the source file and -o targets.
-    filtered, skip = [], False
-    for a in args[1:]:
-        if skip:
-            skip = False
-            continue
-        if a == abs_path or a.endswith(os.path.basename(abs_path)):
-            continue
-        if a in ("-o",):
-            skip = True
-            continue
-        filtered.append(a)
-    index = cindex.Index.create()
-    tu = index.parse(abs_path, args=filtered)
-    out = []
-    for cur in tu.cursor.walk_preorder():
-        if cur.kind != cindex.CursorKind.CXX_FOR_RANGE_STMT:
-            continue
-        if not cur.location.file or cur.location.file.name != abs_path:
-            continue
-        children = list(cur.get_children())
-        if len(children) < 2:
-            continue
-        range_init, body = children[-2], children[-1]
-        type_spelling = range_init.type.get_canonical().spelling
-        if "unordered_map" not in type_spelling and \
-           "unordered_set" not in type_spelling:
-            continue
-        out.append((cur.location.line,
-                    range_init.spelling or type_spelling.split("<")[0],
-                    body.extent.start.line, body.extent.end.line))
-    return out
-
-
 # --- driver -----------------------------------------------------------------
 
-def discover_files(build_dir: str, paths):
-    """Repo-relative source files to lint.  The compile DB (when present)
-    supplies the TU list; headers are globbed (they are not TUs)."""
+def discover_files(paths):
+    """Repo-relative source files to lint: the given paths, or every
+    .cpp/.hpp under src/."""
     if paths:
-        rel = []
-        for p in paths:
-            ap = os.path.abspath(p)
-            rel.append(os.path.relpath(ap, REPO_ROOT))
-        return sorted(set(rel)), None
-
-    cc_path = os.path.join(build_dir, "compile_commands.json")
-    cc_map = {}
+        return sorted({os.path.relpath(os.path.abspath(p), REPO_ROOT)
+                       for p in paths})
     files = set()
-    if os.path.exists(cc_path):
-        with open(cc_path) as f:
-            for entry in json.load(f):
-                ap = os.path.abspath(os.path.join(entry["directory"],
-                                                  entry["file"]))
-                rel = os.path.relpath(ap, REPO_ROOT)
-                if rel.startswith("src/"):
-                    files.add(rel)
-                    if "arguments" in entry:
-                        cc_map[rel] = entry["arguments"]
-                    elif "command" in entry:
-                        cc_map[rel] = entry["command"].split()
     for pat in ("src/**/*.cpp", "src/**/*.hpp"):
         for p in glob.glob(os.path.join(REPO_ROOT, pat), recursive=True):
             files.add(os.path.relpath(p, REPO_ROOT))
-    return sorted(files), cc_map or None
+    return sorted(files)
 
 
-def lint_sources(sources, engine, cindex=None, cc_map=None):
+def lint_sources(sources):
     findings: list[Finding] = []
     for sf in sources:
         parse_allow_pragmas(sf, findings)
@@ -677,17 +575,7 @@ def lint_sources(sources, engine, cindex=None, cc_map=None):
 
     for sf in sources:
         check_zero_copy(sf, findings)
-        clang_fors = None
-        if engine == "clang" and cindex is not None and cc_map and \
-                sf.path in cc_map:
-            try:
-                clang_fors = clang_unordered_fors_for_file(
-                    cindex, cc_map[sf.path],
-                    os.path.join(REPO_ROOT, sf.path))
-            except Exception as e:  # fall back per-file, loudly
-                print(f"lint: clang parse failed for {sf.path} ({e}); "
-                      "using text engine for this file", file=sys.stderr)
-        check_determinism(sf, findings, unordered_names, clang_fors)
+        check_determinism(sf, findings, unordered_names)
         check_keygen_entropy(sf, findings)
         check_timer_lifetime(sf, findings)
         check_shard_affinity(sf, findings)
@@ -718,7 +606,7 @@ def lint_sources(sources, engine, cindex=None, cc_map=None):
 
 # --- self-test --------------------------------------------------------------
 
-def run_self_test(engine, cindex):
+def run_self_test():
     fixture_dir = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                "fixtures")
     fixture_paths = sorted(glob.glob(os.path.join(fixture_dir, "*.cpp")))
@@ -744,10 +632,7 @@ def run_self_test(engine, cindex):
             for em in EXPECT_RE.finditer(line):
                 expected[(pretend, i, em.group(1))] = False
 
-    # Fixtures have no compile DB entries: the clang engine exercises its
-    # text fallback for range-for, which the repo gate also relies on for
-    # headers.  Banned-call / zero-copy / timer rules are engine-shared.
-    findings = lint_sources(sources, "text")
+    findings = lint_sources(sources)
 
     failures = []
     for f in findings:
@@ -780,36 +665,19 @@ def run_self_test(engine, cindex):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--build-dir", default=os.path.join(REPO_ROOT, "build"),
-                    help="build tree holding compile_commands.json")
-    ap.add_argument("--engine", choices=("auto", "clang", "text"),
-                    default="auto")
     ap.add_argument("--json", dest="json_out",
                     help="also write findings as JSON to this path")
     ap.add_argument("--self-test", action="store_true",
                     help="assert each rule fires on the committed fixtures")
     ap.add_argument("paths", nargs="*",
-                    help="specific files to lint (default: src/ via "
-                         "compile_commands.json + header glob)")
+                    help="specific files to lint (default: every .cpp/.hpp "
+                         "under src/)")
     opts = ap.parse_args(argv)
 
-    cindex = None
-    engine = opts.engine
-    if engine in ("auto", "clang"):
-        cindex = try_load_clang()
-        if cindex is None:
-            if engine == "clang":
-                print("lint: --engine clang requested but clang.cindex / "
-                      "libclang is unavailable", file=sys.stderr)
-                return 2
-            engine = "text"
-        else:
-            engine = "clang"
-
     if opts.self_test:
-        return run_self_test(engine, cindex)
+        return run_self_test()
 
-    files, cc_map = discover_files(opts.build_dir, opts.paths)
+    files = discover_files(opts.paths)
     if not files:
         print("lint: no source files found", file=sys.stderr)
         return 2
@@ -820,7 +688,7 @@ def main(argv=None):
             continue
         sources.append(load_source(ap_path, rel))
 
-    findings = lint_sources(sources, engine, cindex, cc_map)
+    findings = lint_sources(sources)
 
     if opts.json_out:
         with open(opts.json_out, "w") as f:
@@ -830,7 +698,7 @@ def main(argv=None):
         print(f.format())
     n_allowed = sum(len(v) for sf in sources for v in sf.allow.values())
     print(f"lint: {len(findings)} finding(s) across {len(sources)} files "
-          f"({n_allowed} allowlisted) [engine: {engine}]")
+          f"({n_allowed} allowlisted)")
     return 1 if findings else 0
 
 
