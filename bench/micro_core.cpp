@@ -450,12 +450,15 @@ BENCHMARK(BM_NatForwardSim)
 // across a sendmmsg-style batch.  `bytes_copied_per_*` counts CPU
 // memcpys in the sender's stack (no socket send API copies);
 // `bytes_gathered_per_*` is the NIC-style scatter-gather walk that
-// assembles the wire image.
+// assembles the wire image.  `rx_bytes_copied_per_send` counts the
+// receiver's two copy points: a socket read spanning segments and a
+// framed body spanning segments.
 
 /// One Brunet-packet-sized buffer per iteration crosses a TcpEdge.  The
 /// sender must not copy the payload: framing is a separate 4-byte
 /// segment, the socket queue links shared handles, and segments gather
-/// queue ranges straight into the wire image.
+/// queue ranges straight into the wire image.  A packet that fits one
+/// segment reaches the receiving edge as a share of that segment.
 void BM_TcpEdgeStreamSend(benchmark::State& state) {
   const auto payload_size = static_cast<std::size_t>(state.range(0));
   net::Network netw{13};
@@ -484,6 +487,11 @@ void BM_TcpEdgeStreamSend(benchmark::State& state) {
   const auto gathered0 =
       tcp_stats.payload_bytes_gathered + stack_ctr.payload_bytes_gathered;
   const auto received0 = received;
+  auto rx_copied = [&] {
+    return server_edge->socket()->stats().payload_bytes_copied +
+           server_edge->stream()->bytes_copied();
+  };
+  const auto rx_copied0 = rx_copied();
   for (auto _ : state) {
     client_edge->send(
         util::Buffer::allocate(payload_size, util::kPacketHeadroom));
@@ -494,6 +502,8 @@ void BM_TcpEdgeStreamSend(benchmark::State& state) {
                           static_cast<std::int64_t>(payload_size));
   state.counters["bytes_copied_per_send"] =
       static_cast<double>(stack_ctr.payload_bytes_copied - copied0) / iters;
+  state.counters["rx_bytes_copied_per_send"] =
+      static_cast<double>(rx_copied() - rx_copied0) / iters;
   state.counters["bytes_gathered_per_send"] =
       static_cast<double>(tcp_stats.payload_bytes_gathered +
                           stack_ctr.payload_bytes_gathered - gathered0) /

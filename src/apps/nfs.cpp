@@ -1,6 +1,7 @@
 #include "apps/nfs.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/bytes.hpp"
 
@@ -90,20 +91,24 @@ void NfsClient::ensure_connected() {
   sock->on_closed = [this](const std::string&) {
     connected_ = false;
     stream_ = nullptr;
+    in_flight_ = false;  // the in-flight and queued RPCs fail
+    for (auto& rpc : std::exchange(queue_, {})) rpc.done(std::nullopt);
   };
   stream_ = net::FramedStream::attach(std::move(sock));
   stream_->on_frame = [this](util::Buffer reply) { on_reply(reply); };
 }
 
 void NfsClient::read_block(const std::string& name, std::uint64_t block_index,
-                           std::function<void(std::vector<std::uint8_t>)> done) {
+                           std::function<void(Block)> done) {
   ++stats_.reads;
   const std::uint64_t offset = block_index * kBlockSize;
   if (cache_.count({name, block_index}) > 0) {
     ++stats_.cache_hits;
     // Local disk-cache read: small fixed cost, no network.
     host_.loop().schedule_after(kCacheHitCost,
-                                [done = std::move(done)] { done({}); });
+                                [done = std::move(done)] {
+                                  done(Block(std::in_place));
+                                });
     return;
   }
   ++stats_.cache_misses;
@@ -111,10 +116,11 @@ void NfsClient::read_block(const std::string& name, std::uint64_t block_index,
   rpc.name = name;
   rpc.offset = offset;
   rpc.len = static_cast<std::uint32_t>(kBlockSize);
-  rpc.done = [this, name, block_index, done = std::move(done)](
-                 std::vector<std::uint8_t> data) {
-    cache_.insert({name, block_index});
-    stats_.bytes_fetched += data.size();
+  rpc.done = [this, name, block_index, done = std::move(done)](Block data) {
+    if (data) {
+      cache_.insert({name, block_index});
+      stats_.bytes_fetched += data->size();
+    }
     done(std::move(data));
   };
   queue_.push_back(std::move(rpc));
@@ -162,8 +168,12 @@ void NfsClient::read_file(const std::string& name, std::uint64_t size,
       return;
     }
     auto self = next_w.lock();
-    read_block(name, i, [self, i](std::vector<std::uint8_t>) {
-      (*self)(i + 1);
+    read_block(name, i, [self, i, done_p](Block data) {
+      if (data) {
+        (*self)(i + 1);
+      } else {
+        (*done_p)(false);
+      }
     });
   };
   (*next)(0);

@@ -13,6 +13,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -64,13 +65,17 @@ class NfsClient {
   NfsClient(net::Host& host, net::Ipv4Address server,
             std::uint16_t port = NfsServer::kDefaultPort);
 
+  /// A block's bytes (empty on a cache hit); nullopt if the connection
+  /// closed first.  The next read dials afresh.
+  using Block = std::optional<std::vector<std::uint8_t>>;
+
   /// Stream the whole file through the cache, one synchronous block RPC
-  /// at a time; `done(ok)` fires after the last block.
+  /// at a time; `done(ok)` fires after the last block or a failed one.
   void read_file(const std::string& name, std::uint64_t size,
                  std::function<void(bool ok)> done);
   /// Read one block (cache-aware).
   void read_block(const std::string& name, std::uint64_t block_index,
-                  std::function<void(std::vector<std::uint8_t>)> done);
+                  std::function<void(Block)> done);
 
   /// Drop the local cache (simulates a cold start).
   void invalidate_cache() { cache_.clear(); }
@@ -81,7 +86,7 @@ class NfsClient {
     std::string name;
     std::uint64_t offset;
     std::uint32_t len;
-    std::function<void(std::vector<std::uint8_t>)> done;
+    std::function<void(Block)> done;
   };
 
   void ensure_connected();

@@ -38,7 +38,6 @@ void RelayEdge::send(util::Buffer bytes) {
     send_chain(std::move(chain));
     return;
   }
-  ++tx_;
   via_->send(wrap(std::move(bytes)));
 }
 
@@ -48,7 +47,6 @@ void RelayEdge::send_chain(util::BufferChain chain) {
   // front and the inner frame's segments (e.g. a per-destination header
   // over a fan-out-shared payload) cross the carrying edge unflattened —
   // zero bytes copied regardless of how the inner chain is shared.
-  ++tx_;
   Packet w;
   w.type = PacketType::kRelayForward;
   w.ttl = kWrapperTtl;

@@ -56,13 +56,11 @@ void TcpEdge::send(util::Buffer bytes) {
 
 void TcpEdge::send_chain(util::BufferChain chain) {
   if (!up_) return;
-  ++tx_;
   if (auto stream = stream_.lock()) stream->send(std::move(chain));
 }
 
 void TcpEdge::send_batch(std::vector<util::BufferChain> chains) {
   if (!up_) return;
-  tx_ += chains.size();
   if (auto stream = stream_.lock()) stream->send_batch(std::move(chains));
 }
 
@@ -84,7 +82,6 @@ TransportAddress TcpEdge::remote() const {
 
 void UdpEdge::send(util::Buffer bytes) {
   if (!up_ || transport_ == nullptr) return;
-  ++tx_;
   transport_->send_to(ip_, port_, std::move(bytes));
 }
 
@@ -92,7 +89,6 @@ void UdpEdge::send_chain(util::BufferChain chain) {
   // A closed edge (or one whose transport is being torn down) swallows
   // the send — never reach into a dead transport/socket.
   if (!up_ || transport_ == nullptr) return;
-  ++tx_;
   if (transport_->corked()) {
     transport_->stage(ip_, port_, std::move(chain));
     return;
@@ -102,7 +98,6 @@ void UdpEdge::send_chain(util::BufferChain chain) {
 
 void UdpEdge::send_batch(std::vector<util::BufferChain> chains) {
   if (!up_ || transport_ == nullptr) return;
-  tx_ += chains.size();
   if (transport_->corked()) {
     for (auto& c : chains) transport_->stage(ip_, port_, std::move(c));
     return;

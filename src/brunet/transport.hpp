@@ -94,13 +94,10 @@ class Edge {
   /// Reset the activity clock (called when a node adopts the edge so a
   /// fresh edge is not immediately reaped by the keepalive sweep).
   void touch(TimePoint now) { last_received_ = now; }
-  std::uint64_t packets_sent() const { return tx_; }
-  std::uint64_t packets_received() const { return rx_; }
 
  protected:
   void deliver(TimePoint now, util::Buffer bytes) {
     last_received_ = now;
-    ++rx_;
     if (on_receive_) on_receive_(std::move(bytes));
   }
   void notify_closed() {
@@ -114,8 +111,6 @@ class Edge {
   ReceiveHandler on_receive_;
   CloseHandler on_close_;
   TimePoint last_received_{};
-  std::uint64_t tx_ = 0;
-  std::uint64_t rx_ = 0;
 };
 
 /// TCP edge: one Brunet packet per net::FramedStream message.  The packet
@@ -138,8 +133,9 @@ class TcpEdge : public Edge, public std::enable_shared_from_this<TcpEdge> {
   /// Wire the socket callbacks; call once after construction.
   void attach();
 
-  /// Underlying stream socket (stats introspection for tests/benches).
+  /// Socket and stream, for stats introspection in tests/benches.
   const std::shared_ptr<net::TcpSocket>& socket() const { return sock_; }
+  std::shared_ptr<net::FramedStream> stream() const { return stream_.lock(); }
 
  private:
   sim::EventLoop& loop_;

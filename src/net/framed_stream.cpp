@@ -1,7 +1,5 @@
 #include "net/framed_stream.hpp"
 
-#include <span>
-
 #include "util/bytes.hpp"
 
 namespace ipop::net {
@@ -9,7 +7,6 @@ namespace ipop::net {
 namespace {
 
 constexpr std::size_t kPrefix = 4;
-constexpr std::size_t kDrainChunk = 64 * 1024;
 
 /// The length prefix rides its own segment in front of the body.
 util::BufferChain frame(util::BufferChain body) {
@@ -66,27 +63,32 @@ void FramedStream::abort() { sock_->abort(); }
 
 void FramedStream::drain() {
   auto self = shared_from_this();  // a handler may unwire the socket
-  while (true) {
-    auto chunk = sock_->receive(kDrainChunk);
-    if (chunk.empty()) break;
-    rx_.insert(rx_.end(), chunk.begin(), chunk.end());
-  }
-  std::size_t pos = 0;
-  while (rx_.size() - pos >= kPrefix) {
-    const std::uint32_t len = util::load_u32(rx_.data() + pos);
-    if (rx_.size() - pos - kPrefix < len) break;
-    // lint:allow(zero-copy): stream reframing — bytes leave the shared TCP rx ring exactly once
-    auto body = util::Buffer::copy_of(
-        std::span<const std::uint8_t>(rx_.data() + pos + kPrefix, len));
-    pos += kPrefix + len;
+  rx_.append(sock_->receive(sock_->bytes_readable()));
+  while (rx_.size() >= kPrefix) {
+    std::uint8_t prefix[kPrefix] = {};
+    rx_.gather(0, prefix);
+    const std::uint32_t len = util::load_u32(prefix);
+    if (len > kMaxFrame) {
+      ++oversize_rejects_;
+      abort();
+      return;
+    }
+    if (rx_.size() - kPrefix < len) break;
+    // A body inside one received segment goes up as a share of it.
+    auto body = rx_.try_share(kPrefix, len);
+    if (!body) {
+      bytes_copied_ += rx_.size();
+      // lint:allow(zero-copy): a body spanning received segments is flattened once (counted)
+      body = rx_.coalesce().share(kPrefix, len);
+    }
+    rx_.drop_front(kPrefix + len);
     try {
-      if (on_frame) on_frame(std::move(body));
+      if (on_frame) on_frame(std::move(*body));
     } catch (const util::ParseError&) {
       abort();
       return;
     }
   }
-  rx_.erase(rx_.begin(), rx_.begin() + static_cast<std::ptrdiff_t>(pos));
   if (sock_->eof() && on_eof) on_eof();
 }
 

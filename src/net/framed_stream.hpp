@@ -20,6 +20,9 @@ namespace ipop::net {
 
 class FramedStream : public std::enable_shared_from_this<FramedStream> {
  public:
+  /// Largest body a peer may announce; a longer prefix aborts the stream.
+  static constexpr std::uint32_t kMaxFrame = 16 * 1024 * 1024;
+
   /// One complete message body.  A handler that throws util::ParseError
   /// marks the frame malformed: the stream aborts the connection and
   /// delivers nothing more.
@@ -46,6 +49,10 @@ class FramedStream : public std::enable_shared_from_this<FramedStream> {
   void close();
   void abort();
 
+  /// Bytes flattened to hand up bodies that spanned received segments.
+  std::uint64_t bytes_copied() const { return bytes_copied_; }
+  std::uint64_t oversize_rejects() const { return oversize_rejects_; }
+
  private:
   explicit FramedStream(std::shared_ptr<TcpSocket> sock)
       : sock_(std::move(sock)) {}
@@ -55,9 +62,11 @@ class FramedStream : public std::enable_shared_from_this<FramedStream> {
   void flush();
 
   std::shared_ptr<TcpSocket> sock_;
-  std::vector<std::uint8_t> rx_;  // received bytes of incomplete frames
-  util::BufferChain backlog_;     // framed bytes the socket refused
+  util::BufferChain rx_;       // received segments of incomplete frames
+  util::BufferChain backlog_;  // framed bytes the socket refused
   bool closing_ = false;
+  std::uint64_t bytes_copied_ = 0;
+  std::uint64_t oversize_rejects_ = 0;
 };
 
 }  // namespace ipop::net

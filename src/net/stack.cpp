@@ -602,7 +602,7 @@ void Stack::deliver_tcp(const Ipv4Packet& pkt) {
   auto it = tcp_socks_.find(key);
   if (it != tcp_socks_.end()) {
     auto sock = it->second;  // keep alive across potential unregister
-    sock->on_segment(seg);
+    sock->on_segment(seg, pkt.payload);
     return;
   }
   auto lit = tcp_listeners_.find(seg.dst_port);

@@ -22,14 +22,7 @@ TcpSocket::TcpSocket(Stack* stack, TcpConfig cfg) : stack_(stack), cfg_(cfg) {
   rto_ = kInitialRto;
 }
 
-TcpSocket::~TcpSocket() {
-  // Timers hold only the event id; cancel defensively.
-  if (stack_ != nullptr) {
-    if (retransmit_timer_ != 0) stack_->loop().cancel(retransmit_timer_);
-    if (persist_timer_ != 0) stack_->loop().cancel(persist_timer_);
-    if (time_wait_timer_ != 0) stack_->loop().cancel(time_wait_timer_);
-  }
-}
+TcpSocket::~TcpSocket() { detach(); }  // timers hold only the event id
 
 void TcpSocket::detach() {
   if (stack_ != nullptr) {
@@ -56,10 +49,12 @@ std::size_t TcpSocket::send_space() const {
 
 std::size_t TcpSocket::flight_size() const { return snd_nxt_ - snd_una_; }
 
+std::size_t TcpSocket::recv_space() const {
+  return cfg_.recv_buf - std::min(cfg_.recv_buf, recv_ready_.size());
+}
+
 std::uint16_t TcpSocket::advertised_window() const {
-  const std::size_t space =
-      cfg_.recv_buf - std::min(cfg_.recv_buf, recv_ready_.size());
-  return static_cast<std::uint16_t>(std::min<std::size_t>(space, 65535));
+  return static_cast<std::uint16_t>(std::min<std::size_t>(recv_space(), 65535));
 }
 
 // ---------------------------------------------------------------------------
@@ -121,7 +116,7 @@ void TcpSocket::enter_established() {
 // Segment input
 // ---------------------------------------------------------------------------
 
-void TcpSocket::on_segment(const TcpView& seg) {
+void TcpSocket::on_segment(const TcpView& seg, const util::Buffer& wire) {
   auto self = shared_from_this();  // keep alive through close paths
   ++stats_.segments_received;
 
@@ -192,7 +187,7 @@ void TcpSocket::on_segment(const TcpView& seg) {
         }
         if (on_connected) on_connected();
         // Fall through to data processing of this same segment.
-        process_data(seg);
+        process_data(seg, wire);
         output();
       }
       return;
@@ -210,7 +205,7 @@ void TcpSocket::on_segment(const TcpView& seg) {
   // Data-carrying states.
   process_ack(seg);
   if (state_ == TcpState::kClosed) return;  // ack processing may close
-  process_data(seg);
+  process_data(seg, wire);
   if (state_ == TcpState::kClosed) return;
   output();
 }
@@ -318,13 +313,15 @@ void TcpSocket::process_ack(const TcpView& seg) {
   }
 }
 
-void TcpSocket::process_data(const TcpView& seg) {
+void TcpSocket::process_data(const TcpView& seg, const util::Buffer& wire) {
   const std::uint32_t orig_seq = seg.seq;
   const std::size_t len = seg.payload.size();
 
   if (len > 0) {
     std::uint32_t seq = orig_seq;
-    std::span<const std::uint8_t> data(seg.payload);
+    // The payload stays in the received buffer: queues hold shares of it.
+    auto data = wire.share(
+        static_cast<std::size_t>(seg.payload.data() - wire.data()), len);
 
     if (seq_lt(seq, rcv_nxt_)) {
       const std::uint32_t overlap = rcv_nxt_ - seq;
@@ -332,7 +329,7 @@ void TcpSocket::process_data(const TcpView& seg) {
         send_ack_now();  // entirely old data
         data = {};
       } else {
-        data = data.subspan(overlap);
+        data.drop_front(overlap);
         seq = rcv_nxt_;
       }
     }
@@ -342,31 +339,24 @@ void TcpSocket::process_data(const TcpView& seg) {
         // Out of order: buffer (bounded) and send a duplicate ack.
         if (ooo_bytes_ + data.size() <= cfg_.recv_buf &&
             out_of_order_.find(seq) == out_of_order_.end()) {
-          out_of_order_.emplace(seq,
-                                std::vector<std::uint8_t>(data.begin(), data.end()));
           ooo_bytes_ += data.size();
+          out_of_order_.emplace(seq, std::move(data));
         }
         send_ack_now();
       } else {
         // In order: accept what fits the receive buffer.
-        const std::size_t space =
-            cfg_.recv_buf - std::min(cfg_.recv_buf, recv_ready_.size());
-        const std::size_t take = std::min(space, data.size());
-        recv_ready_.insert(recv_ready_.end(), data.begin(),
-                           data.begin() + take);
+        const std::size_t take = std::min(recv_space(), data.size());
+        recv_ready_.append(data.share(0, take));
         rcv_nxt_ += static_cast<std::uint32_t>(take);
         // Drain contiguous out-of-order segments.  Bytes that do not fit
         // the receive buffer are dropped unacked; the peer retransmits.
         auto it = out_of_order_.begin();
         while (it != out_of_order_.end() && seq_le(it->first, rcv_nxt_)) {
-          const auto& buf = it->second;
+          const util::Buffer& buf = it->second;
           const std::size_t skip = rcv_nxt_ - it->first;
           if (skip < buf.size()) {
-            const std::size_t room =
-                cfg_.recv_buf - std::min(cfg_.recv_buf, recv_ready_.size());
-            const std::size_t add = std::min(room, buf.size() - skip);
-            recv_ready_.insert(recv_ready_.end(), buf.begin() + skip,
-                               buf.begin() + skip + add);
+            const std::size_t add = std::min(recv_space(), buf.size() - skip);
+            recv_ready_.append(buf.share(skip, add));
             rcv_nxt_ += static_cast<std::uint32_t>(add);
           }
           ooo_bytes_ -= buf.size();
@@ -438,11 +428,8 @@ void TcpSocket::handle_frag_needed(std::size_t next_hop_mtu) {
 // ---------------------------------------------------------------------------
 
 std::size_t TcpSocket::send(util::Buffer data) {
-  return send(util::BufferChain(std::move(data)));
-}
-
-std::size_t TcpSocket::send(util::BufferChain data) {
-  return send_from(data);
+  util::BufferChain chain(std::move(data));
+  return send_from(chain);
 }
 
 std::size_t TcpSocket::send_from(util::BufferChain& chain) {
@@ -474,18 +461,23 @@ std::size_t TcpSocket::send_from(util::BufferChain& chain) {
   return take;
 }
 
-std::vector<std::uint8_t> TcpSocket::receive(std::size_t max) {
+util::Buffer TcpSocket::receive(std::size_t max) {
   const std::size_t take = std::min(max, recv_ready_.size());
-  std::vector<std::uint8_t> out(recv_ready_.begin(),
-                                recv_ready_.begin() + take);
+  auto out = recv_ready_.try_share(0, take);
+  if (!out) {
+    // Spanning segments happens only after a reordering gap fills.
+    stats_.payload_bytes_copied += recv_ready_.size();
+    // lint:allow(zero-copy): a read spanning received segments is flattened once (counted)
+    out = recv_ready_.coalesce().share(0, take);
+  }
   const std::uint16_t before = advertised_window();
-  recv_ready_.erase(recv_ready_.begin(), recv_ready_.begin() + take);
+  recv_ready_.drop_front(take);
   // Window-update ack when the window reopens across an MSS boundary.
   if (state_ != TcpState::kClosed && before < cfg_.mss &&
       advertised_window() >= cfg_.mss) {
     send_ack_now();
   }
-  return out;
+  return std::move(*out);
 }
 
 void TcpSocket::close() {
@@ -585,7 +577,6 @@ TcpSegment TcpSocket::make_segment(std::uint32_t seq, TcpFlags flags) {
   seg.ack = flags.ack ? rcv_nxt_ : 0;
   seg.flags = flags;
   seg.window = advertised_window();
-  last_advertised_window_ = seg.window;
   return seg;
 }
 

@@ -8,13 +8,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "net/ipv4.hpp"
 #include "net/tcp_wire.hpp"
@@ -70,6 +67,8 @@ struct TcpStats {
   std::uint64_t payload_bytes_gathered = 0;
   /// Path-MTU discovery events: ICMP frag-needed shrank the MSS.
   std::uint64_t pmtu_shrinks = 0;
+  /// Received bytes flattened by a receive() that spanned segments.
+  std::uint64_t payload_bytes_copied = 0;
 };
 
 /// A TCP connection endpoint.  All I/O is callback-driven; see the on_*
@@ -87,22 +86,19 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
 
   ~TcpSocket();
 
-  /// Three ways to queue bytes for transmission.  Each returns how many
-  /// bytes it accepted (bounded by send-buffer space), and none copies
+  /// Two ways to queue bytes for transmission.  Each returns how many
+  /// bytes it accepted (bounded by send-buffer space), and neither copies
   /// them: shared handles are linked into the send queue, and segments
   /// gather the bytes for the wire.
   ///
   /// One buffer; a partial accept links a sub-buffer share of the prefix.
   std::size_t send(util::Buffer data);
-  /// writev-style scatter-gather send: every chain segment is linked
-  /// into the send queue without copying.
-  std::size_t send(util::BufferChain data);
-  /// In-place variant: links the accepted prefix and drops it from
-  /// `chain`, so a caller draining a backlog repeatedly pays no
-  /// per-attempt handle copies (the unaccepted tail stays in `chain`).
+  /// writev-style send: links the accepted prefix of `chain` into the
+  /// queue and drops it from `chain`; the refused tail stays in `chain`.
   std::size_t send_from(util::BufferChain& chain);
-  /// Take up to `max` bytes of in-order received data.
-  std::vector<std::uint8_t> receive(std::size_t max);
+  /// Take up to `max` bytes of in-order received data: a share of their
+  /// segment, or one counted flatten when the range spans segments.
+  util::Buffer receive(std::size_t max);
   std::size_t bytes_readable() const { return recv_ready_.size(); }
   std::size_t send_space() const;
   /// True once the peer's FIN has been consumed (no more data will arrive).
@@ -140,8 +136,8 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
                     Ipv4Address remote, std::uint16_t remote_port,
                     const TcpView& syn, TcpListener* listener);
 
-  /// `seg` aliases the received packet; nothing keeps it past the call.
-  void on_segment(const TcpView& seg);
+  /// `seg` was parsed in place from `wire`; its payload is kept as shares.
+  void on_segment(const TcpView& seg, const util::Buffer& wire);
 
   // --- output path -------------------------------------------------------
   void output();  // transmit as much as windows allow
@@ -157,16 +153,16 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   void send_ack_now();
   void send_rst(std::uint32_t seq, std::uint32_t ack, bool with_ack);
   std::size_t flight_size() const;
+  std::size_t recv_space() const;
   std::uint16_t advertised_window() const;
 
   // --- input path --------------------------------------------------------
   void process_ack(const TcpView& seg);
-  void process_data(const TcpView& seg);
+  void process_data(const TcpView& seg, const util::Buffer& wire);
   /// ICMP frag-needed (code 4) for this connection: clamp the MSS to the
   /// reported next-hop MTU and resend the blackholed segment at the new
   /// size (RFC 1191 path-MTU discovery; not a congestion signal).
   void handle_frag_needed(std::size_t next_hop_mtu);
-  void handle_accepted_fin();
   void enter_established();
   void maybe_send_fin();
 
@@ -216,14 +212,13 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   bool in_recovery_ = false;
   std::uint32_t recover_ = 0;
 
-  // Receive side.
+  // Receive side: both queues hold shares of the received segments.
   std::uint32_t rcv_nxt_ = 0;
-  std::deque<std::uint8_t> recv_ready_;
-  std::map<std::uint32_t, std::vector<std::uint8_t>> out_of_order_;
+  util::BufferChain recv_ready_;
+  std::map<std::uint32_t, util::Buffer> out_of_order_;
   std::size_t ooo_bytes_ = 0;
   bool fin_received_ = false;
   bool fin_acked_by_us_ = false;
-  std::uint16_t last_advertised_window_ = 0;
 
   // RTT estimation (Jacobson/Karn).
   bool srtt_valid_ = false;

@@ -17,11 +17,7 @@ TtcpReceiver::TtcpReceiver(Stack& stack, std::uint16_t port) : stack_(stack) {
 }
 
 void TtcpReceiver::pump() {
-  while (true) {
-    auto chunk = sock_->receive(64 * 1024);
-    if (chunk.empty()) break;
-    result_.bytes += chunk.size();
-  }
+  result_.bytes += sock_->receive(sock_->bytes_readable()).size();
   if (sock_->eof()) {
     // Elapsed measured up to the arrival of the final byte.
     sock_->close();

@@ -232,8 +232,9 @@ TEST_F(AppsFixture, BlockReadReturnsDeterministicContent) {
   server.add_file("data", 64 * 1024);
   NfsClient client(*hosts[0], addr(1));
   std::vector<std::uint8_t> block;
-  client.read_block("data", 2, [&](std::vector<std::uint8_t> d) {
-    block = std::move(d);
+  client.read_block("data", 2, [&](NfsClient::Block d) {
+    ASSERT_TRUE(d.has_value());
+    block = std::move(*d);
   });
   net.loop().run_until(seconds(10));
   ASSERT_EQ(block.size(), 8u * 1024);
@@ -315,6 +316,33 @@ TEST_F(AppsFixture, CacheInvalidationForcesRefetch) {
   net.loop().run_until(net.loop().now() + seconds(30));
   ASSERT_TRUE(done);
   EXPECT_EQ(client.stats().bytes_fetched, fetched * 2);
+}
+
+TEST_F(AppsFixture, ReadFailsWhenTheConnectionDropsMidRpc) {
+  build(2);
+  // Every request is answered with the frame 00 00 00 00: an empty reply
+  // the client cannot parse, so its stream aborts with the RPC in flight.
+  auto listener = hosts[1]->stack().tcp_listen(NfsServer::kDefaultPort);
+  listener->set_accept_handler([](std::shared_ptr<net::TcpSocket> s) {
+    auto stream = net::FramedStream::attach(std::move(s));
+    stream->on_frame = [raw = stream.get()](util::Buffer) {
+      raw->send(util::BufferChain());
+    };
+  });
+  NfsClient client(*hosts[0], addr(1));
+  std::optional<bool> first;
+  client.read_file("db", 64 * 1024, [&](bool ok) { first = ok; });
+  net.loop().run_until(seconds(10));
+  ASSERT_TRUE(first.has_value());
+  EXPECT_FALSE(*first);
+
+  // The client redials for the next read, which fails the same way.
+  std::optional<bool> second;
+  client.read_file("db", 64 * 1024, [&](bool ok) { second = ok; });
+  net.loop().run_until(net.loop().now() + seconds(10));
+  ASSERT_TRUE(second.has_value());
+  EXPECT_FALSE(*second);
+  EXPECT_EQ(client.stats().bytes_fetched, 0u);
 }
 
 // --- LSS ---------------------------------------------------------------------------

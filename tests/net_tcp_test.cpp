@@ -4,6 +4,7 @@
 
 #include <numeric>
 
+#include "net/framed_stream.hpp"
 #include "net/topology.hpp"
 #include "net/ttcp.hpp"
 
@@ -421,13 +422,131 @@ TEST_F(TcpFixture, BufferSendIsZeroCopyAndArrivesIntact) {
     util::BufferChain chain;
     chain.append(util::Buffer::copy_of({msg.data(), 1024}));
     chain.append(util::Buffer::copy_of({msg.data() + 1024, msg.size() - 1024}));
-    EXPECT_EQ(client->send(std::move(chain)), msg.size());
+    EXPECT_EQ(client->send_from(chain), msg.size());
+    EXPECT_TRUE(chain.empty());
   };
   net.loop().run_until(seconds(5));
   EXPECT_EQ(received, msg);
   // The send API linked shared handles; the queued bytes reached the
   // segments through the gather walk.
   EXPECT_GE(client->stats().payload_bytes_gathered, msg.size());
+}
+
+// --- receive side: segment shares and the two counted copy points --------
+
+/// `n` bytes of a position-dependent pattern.
+util::Buffer pattern(std::size_t n, std::size_t seed) {
+  auto buf = util::Buffer::allocate(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    buf[i] = static_cast<std::uint8_t>((seed + i) % 251);
+  }
+  return buf;
+}
+
+TEST_F(TcpFixture, ReceiveSpanningSegmentsFlattensOnceAndCountsIt) {
+  auto cfg = lan();
+  cfg.jitter = milliseconds(2);  // segments overtake each other
+  cfg.loss_rate = 0.01;
+  wire(cfg);
+  constexpr std::size_t kTotal = 256 * 1024;
+  auto listener = b->stack().tcp_listen(80);
+  std::shared_ptr<TcpSocket> server;
+  std::vector<std::uint8_t> received;
+  std::uint64_t coalesced = 0;
+  listener->set_accept_handler([&](std::shared_ptr<TcpSocket> s) {
+    server = s;
+    s->on_readable = [&, sp = s.get()] {
+      const auto copied_before = sp->stats().payload_bytes_copied;
+      const auto ready = sp->bytes_readable();
+      auto chunk = sp->receive(64 * 1024);
+      const auto copied = sp->stats().payload_bytes_copied - copied_before;
+      // A read is a share of one segment or a flatten of all ready bytes.
+      if (copied != 0) {
+        EXPECT_EQ(copied, ready);
+        EXPECT_EQ(chunk.size(), ready);
+        coalesced += copied;
+      }
+      received.insert(received.end(), chunk.begin(), chunk.end());
+    };
+  });
+  auto client = a->stack().tcp_connect(ip("10.0.0.2"), 80);
+  const auto msg = pattern(kTotal, 0);
+  std::size_t queued = 0;
+  auto pump = [&] {
+    queued += client->send(msg.share(queued, kTotal - queued));
+    if (queued == kTotal) client->close();
+  };
+  client->on_connected = pump;
+  client->on_writable = pump;
+  net.loop().run_until(seconds(120));
+  ASSERT_NE(server, nullptr);
+  EXPECT_TRUE(server->eof());
+  ASSERT_EQ(received.size(), kTotal);
+  EXPECT_EQ(util::BufferView(received), msg.view());
+  EXPECT_GT(coalesced, 0u) << "no reordering gap filled";
+  EXPECT_EQ(server->stats().payload_bytes_copied, coalesced);
+}
+
+TEST_F(TcpFixture, FramedStreamCopiesOnlyBodiesSpanningSegments) {
+  wire(lan());
+  auto listener = b->stack().tcp_listen(80);
+  std::shared_ptr<TcpSocket> server;
+  std::shared_ptr<FramedStream> rx;
+  std::vector<util::Buffer> bodies;
+  std::vector<std::uint64_t> stream_copied;  // after each frame
+  listener->set_accept_handler([&](std::shared_ptr<TcpSocket> s) {
+    server = s;
+    rx = FramedStream::attach(std::move(s));
+    rx->on_frame = [&](util::Buffer body) {
+      bodies.push_back(std::move(body));
+      stream_copied.push_back(rx->bytes_copied());
+    };
+  });
+  auto client = a->stack().tcp_connect(ip("10.0.0.2"), 80);
+  auto tx = FramedStream::attach(client);
+  const std::vector<std::size_t> sizes{1000, 3000, 100 * 1024};
+  client->on_connected = [&] {
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      tx->send(util::BufferChain(pattern(sizes[i], i)));
+    }
+  };
+  net.loop().run_until(seconds(5));
+  ASSERT_EQ(bodies.size(), sizes.size());
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    EXPECT_EQ(bodies[i].view(), pattern(sizes[i], i).view()) << "frame " << i;
+  }
+  // The first frame fits its segment: handed up as a share, no copy.
+  EXPECT_EQ(stream_copied[0], 0u);
+  // The others span segments and are each flattened once.
+  EXPECT_GT(stream_copied[1], stream_copied[0]);
+  EXPECT_GT(stream_copied[2], stream_copied[1]);
+  // No reordering on this link: the socket itself never flattened.
+  EXPECT_EQ(server->stats().payload_bytes_copied, 0u);
+}
+
+TEST_F(TcpFixture, FramedStreamAbortsOnOversizeLengthPrefix) {
+  wire(lan());
+  auto listener = b->stack().tcp_listen(80);
+  std::shared_ptr<FramedStream> rx;
+  std::optional<std::string> close_reason;
+  int frames = 0;
+  listener->set_accept_handler([&](std::shared_ptr<TcpSocket> s) {
+    s->on_closed = [&](const std::string& r) { close_reason = r; };
+    rx = FramedStream::attach(std::move(s));
+    rx->on_frame = [&](util::Buffer) { ++frames; };
+  });
+  auto client = a->stack().tcp_connect(ip("10.0.0.2"), 80);
+  client->on_connected = [&] {
+    const std::vector<std::uint8_t> bytes{0xff, 0xff, 0xff, 0xff, 1, 2, 3};
+    client->send(util::Buffer::copy_of(bytes));
+  };
+  net.loop().run_until(seconds(2));
+  ASSERT_NE(rx, nullptr);
+  EXPECT_EQ(rx->oversize_rejects(), 1u);
+  ASSERT_TRUE(close_reason.has_value());
+  EXPECT_FALSE(close_reason->empty());
+  EXPECT_EQ(frames, 0);
+  EXPECT_EQ(client->state(), TcpState::kClosed);  // the peer was reset
 }
 
 // --- path-MTU discovery (ICMP frag-needed, code 4) --------------------------

@@ -12,7 +12,8 @@ scale suite uses this to see the --shards 1 and --shards 4 soak legs
 
 Suites:
   micro  (default) — bench_micro_core output: the zero-copy invariants
-         (bytes_copied_* = 0, and the sealed tunnel path's
+         (bytes_copied_* = 0, the TCP edge receiver's
+         rx_bytes_copied_per_send = 0, and the sealed tunnel path's
          payload_bytes_copied = 0 on both seal and open), the event
          engine's allocation-free delivery (allocs_per_event = 0), the
          TCP endpoint's allocation-free receive (allocs_per_segment = 0), the
@@ -90,6 +91,9 @@ SUITES = {
             (r"^BM_NatRewriteInPlace/", "bytes_copied_per_forward"),
             (r"^BM_NatForwardSim/0/", "bytes_copied_per_forward"),
             (r"^BM_TcpEdgeStreamSend/", "bytes_copied_per_send"),
+            # Receive side: a packet that fits one segment goes up to the
+            # edge as a share of it (both sizes fit one 1460-byte MSS).
+            (r"^BM_TcpEdgeStreamSend/", "rx_bytes_copied_per_send"),
             (r"^BM_UdpFanoutBatchShared/", "bytes_copied_per_datagram"),
             # The secured hot path: encrypt/decrypt in place on the
             # uniquely-owned capture buffer, seal header prepended into
