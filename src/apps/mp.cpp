@@ -53,7 +53,6 @@ void MpEndpoint::send(int dst_rank, int tag, Message payload) {
   w.u32(static_cast<std::uint32_t>(rank_));
   w.u32(static_cast<std::uint32_t>(tag));
   w.bytes(payload);
-  ++sent_;
   out->second->send(util::BufferChain(util::Buffer::wrap(w.take())));
 }
 

@@ -33,7 +33,6 @@ class MpEndpoint {
   ~MpEndpoint();
 
   int rank() const { return rank_; }
-  int world_size() const { return static_cast<int>(ranks_.size()); }
 
   /// Asynchronous tagged send (buffered; connection established lazily).
   void send(int dst_rank, int tag, Message payload);
@@ -42,7 +41,6 @@ class MpEndpoint {
   /// posted.
   void recv(int src_rank, int tag, RecvCallback cb);
 
-  std::uint64_t messages_sent() const { return sent_; }
   std::uint64_t messages_received() const { return received_; }
 
  private:
@@ -72,7 +70,6 @@ class MpEndpoint {
   std::map<int, std::shared_ptr<net::FramedStream>> outbound_;  // by dst rank
   std::deque<Pending> pending_;
   std::deque<Unexpected> unexpected_;
-  std::uint64_t sent_ = 0;
   std::uint64_t received_ = 0;
 };
 

@@ -137,22 +137,6 @@ void ConnectionTable::reclassify(std::size_t k) {
   }
 }
 
-std::vector<const Connection*> ConnectionTable::right_neighbors(
-    std::size_t k) const {
-  std::vector<const Connection*> out;
-  out.reserve(std::min(k, conns_.size()));
-  for_each_right(k, [&](const Connection& c) { out.push_back(&c); });
-  return out;
-}
-
-std::vector<const Connection*> ConnectionTable::left_neighbors(
-    std::size_t k) const {
-  std::vector<const Connection*> out;
-  out.reserve(std::min(k, conns_.size()));
-  for_each_left(k, [&](const Connection& c) { out.push_back(&c); });
-  return out;
-}
-
 const Connection* ConnectionTable::right_neighbor() const {
   if (conns_.empty()) return nullptr;
   return &conns_[ring_begin()];

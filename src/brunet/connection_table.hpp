@@ -89,14 +89,10 @@ class ConnectionTable {
   /// displaced near connections are kept as far (shortcut) links.
   void reclassify(std::size_t k);
 
-  /// Ring neighbors: the `k` nearest connections clockwise ("right") or
-  /// counter-clockwise ("left") of self, nearest first.
-  std::vector<const Connection*> right_neighbors(std::size_t k) const;
-  std::vector<const Connection*> left_neighbors(std::size_t k) const;
-
-  /// Allocation-free single-neighbor accessors (the k=1 case above is a
-  /// routing-adjacent hot path: ring-position checks, stabilization,
-  /// departure handoff).  Null when the table is empty.
+  /// The nearest connection clockwise ("right") or counter-clockwise
+  /// ("left") of self (the k=1 case of the walks below: ring-position
+  /// checks, stabilization, departure handoff).  Null when the table is
+  /// empty.
   const Connection* right_neighbor() const;
   const Connection* left_neighbor() const;
 

@@ -407,9 +407,8 @@ void Dht::handle_request(const Packet& pkt) {
         if (const Stored* held = live(key);
             held != nullptr && held->rec.version > rec.version &&
             !held->rec.same_value(rec)) {
-          node_.send(Destination::unicast(pkt.src),
-                     OutboundFrame(PacketType::kDhtRequest,
-                                   encode_stored(key, *held)));
+          node_.send(pkt.src, PacketType::kDhtRequest,
+                     util::Buffer::wrap(encode_stored(key, *held)));
           ++stats_.antientropy_pushbacks;
           return;
         }
@@ -552,8 +551,8 @@ std::vector<std::uint8_t> Dht::encode_record(Op op, const Key& key,
 void Dht::replicate(const Key& key, const Record& rec) {
   // Replicate to ring neighbors: the replica record is serialized once
   // and the fan-out shares that one buffer — each replica packet prepends
-  // its own header segment, and replicas routing over the same edge leave
-  // in one batched transport send.
+  // its own header segment.  The replicas are our own connections, so
+  // each leaves over its own edge.
   std::vector<Address> replicas;
   replicas.reserve(cfg_.replicas + 1);
   node_.table().for_each_right(
@@ -568,9 +567,9 @@ void Dht::replicate(const Key& key, const Record& rec) {
       replicas.push_back(left->addr);
     }
   }
-  node_.send(Destination::fanout(replicas),
-             OutboundFrame(PacketType::kDhtRequest,
-                           encode_record(Op::kReplica, key, rec)));
+  node_.send_fanout(
+      replicas, PacketType::kDhtRequest,
+      util::Buffer::wrap(encode_record(Op::kReplica, key, rec)));
 }
 
 const Dht::Stored* Dht::live(const Key& key) const {
@@ -618,13 +617,12 @@ void Dht::handoff_all() {
     const Connection* best = node_.table().closest_to(key);
     if (best == nullptr) continue;
     if (!Address::closer(key, best->addr, node_.address())) {
-      node_.send(Destination::unicast(best->addr),
-                 OutboundFrame(PacketType::kDhtRequest,
-                               encode_stored(key, s)));
+      node_.send(best->addr, PacketType::kDhtRequest,
+                 util::Buffer::wrap(encode_stored(key, s)));
     } else {
-      node_.send(Destination::closest(key),
-                 OutboundFrame(PacketType::kDhtRequest,
-                               encode_stored(key, s)));
+      node_.send(key, PacketType::kDhtRequest,
+                 util::Buffer::wrap(encode_stored(key, s)),
+                 RoutingMode::kClosest);
     }
     ++stats_.handoffs;
   }
@@ -667,8 +665,9 @@ void Dht::republish_tick() {
     if (best == nullptr || !Address::closer(key, best->addr, node_.address())) {
       continue;
     }
-    node_.send(Destination::closest(key),
-               OutboundFrame(PacketType::kDhtRequest, encode_stored(key, s)));
+    node_.send(key, PacketType::kDhtRequest,
+               util::Buffer::wrap(encode_stored(key, s)),
+               RoutingMode::kClosest);
     s.handed = true;
     s.handed_to = best->addr;
     ++stats_.handoffs;

@@ -247,7 +247,7 @@ class Dht {
   Stored* store_record(const Key& key, Record rec);
   void republish_tick();
   /// Serialize `rec` once and fan the kReplica out to the ring neighbors
-  /// (one shared payload buffer, batched per edge).
+  /// (one shared payload buffer).
   void replicate(const Key& key, const Record& rec);
   /// Handoff/pushback wire image for a stored copy.
   std::vector<std::uint8_t> encode_stored(const Key& key, const Stored& s) {

@@ -434,37 +434,30 @@ void BrunetNode::on_edge_closed(Edge* edge) {
 // Routing
 // ---------------------------------------------------------------------------
 
-std::size_t BrunetNode::send(const Destination& dst, OutboundFrame&& frame) {
-  if (dst.is_fanout()) {
-    return send_fanout(dst.addrs(), frame.type, dst.mode(),
-                       std::move(frame.payload));
-  }
+void BrunetNode::send(const Address& dst, PacketType type,
+                      util::Buffer payload, RoutingMode mode,
+                      std::uint32_t msg_id) {
   Packet pkt;
-  pkt.type = frame.type;
-  pkt.mode = dst.mode();
+  pkt.type = type;
+  pkt.mode = mode;
   pkt.ttl = cfg_.default_ttl;
-  pkt.msg_id = frame.msg_id;
+  pkt.msg_id = msg_id;
   pkt.src = addr_;
-  pkt.dst = dst.addr();
-  pkt.set_payload(frame.headroom == OutboundFrame::Headroom::kShare
-                      ? frame.payload.share()
-                      : std::move(frame.payload));
+  pkt.dst = dst;
+  pkt.set_payload(std::move(payload));
   route(std::move(pkt), /*from_transit=*/false);
-  return 1;
 }
 
 std::size_t BrunetNode::send_fanout(std::span<const Address> dsts,
-                                    PacketType type, RoutingMode mode,
-                                    util::Buffer payload) {
-  // Per-edge groups (shared_ptr: a deliver() reentering the node must
-  // not invalidate an edge we still have frames for).
-  std::vector<std::pair<std::shared_ptr<Edge>, std::vector<util::BufferChain>>>
-      batches;
+                                    PacketType type, util::Buffer payload) {
+  // Build every frame before sending any: a deliver() reentering the node
+  // may change the table, and the shared_ptr keeps each chosen edge alive.
+  std::vector<std::pair<std::shared_ptr<Edge>, util::BufferChain>> frames;
   std::size_t accepted = 0;
   for (const Address& dst : dsts) {
     Packet pkt;
     pkt.type = type;
-    pkt.mode = mode;
+    pkt.mode = RoutingMode::kExact;
     pkt.ttl = cfg_.default_ttl;
     pkt.src = addr_;
     pkt.dst = dst;
@@ -477,11 +470,7 @@ std::size_t BrunetNode::send_fanout(std::span<const Address> dsts,
     }
     const auto [best, have_closer] = pick_next_hop(dst, pkt.src);
     if (!have_closer) {
-      if (mode == RoutingMode::kClosest) {
-        pkt.set_payload(payload.share());
-        deliver(pkt);
-        ++accepted;
-      } else if (best == nullptr) {
+      if (best == nullptr) {
         ++stats_.dropped_no_route;
       } else {
         ++stats_.dropped_exact;
@@ -490,22 +479,14 @@ std::size_t BrunetNode::send_fanout(std::span<const Address> dsts,
     }
     // Per-destination header segment in front of the shared payload —
     // the payload's storage is never duplicated across the fan-out.
-    auto chain = pkt.wire_chain(payload.share(), send_headroom_);
-    auto it = std::find_if(batches.begin(), batches.end(), [&](const auto& b) {
-      return b.first.get() == best->edge.get();
-    });
-    if (it == batches.end()) {
-      batches.emplace_back(best->edge, std::vector<util::BufferChain>{});
-      it = std::prev(batches.end());
-    }
-    it->second.push_back(std::move(chain));
+    frames.emplace_back(best->edge,
+                        pkt.wire_chain(payload.share(), send_headroom_));
     ++accepted;
   }
   // Cork the shared UDP socket across the dispatch: every UDP edge's
-  // frames — whatever their destination — leave in one sendmmsg-style
-  // socket crossing.  TCP edges batch per edge (one gathered stream
-  // write each).  RAII: a throwing edge send must not leave the
-  // transport corked forever (staged datagrams would never flush).
+  // frames leave in one sendmmsg-style socket crossing.  RAII: a
+  // throwing edge send must not leave the transport corked forever
+  // (staged datagrams would never flush).
   struct CorkGuard {
     UdpTransport* t;
     explicit CorkGuard(UdpTransport* t) : t(t) {
@@ -515,13 +496,7 @@ std::size_t BrunetNode::send_fanout(std::span<const Address> dsts,
       if (t != nullptr) t->uncork();
     }
   } cork_guard(udp_.get());
-  for (auto& [edge, chains] : batches) {
-    if (chains.size() == 1) {
-      edge->send_chain(std::move(chains.front()));
-    } else {
-      edge->send_batch(std::move(chains));
-    }
-  }
+  for (auto& [edge, chain] : frames) edge->send_chain(std::move(chain));
   return accepted;
 }
 
@@ -636,14 +611,12 @@ void BrunetNode::request(Address dst, PacketType type, RoutingMode mode,
                          std::vector<std::uint8_t> payload,
                          ResponseCallback cb) {
   const std::uint32_t id = expect_response(std::move(cb));
-  send(Destination::unicast(dst, mode),
-       OutboundFrame(type, std::move(payload), id));
+  send(dst, type, util::Buffer::wrap(std::move(payload)), mode, id);
 }
 
 void BrunetNode::respond(const Packet& req, PacketType type,
                          util::Buffer payload) {
-  send(Destination::unicast(req.src),
-       OutboundFrame(type, std::move(payload), req.msg_id));
+  send(req.src, type, std::move(payload), RoutingMode::kExact, req.msg_id);
 }
 
 void BrunetNode::respond(const Packet& req, PacketType type,
@@ -787,7 +760,9 @@ void BrunetNode::handle_departing(const std::shared_ptr<Edge>& edge,
   } catch (const util::ParseError&) {
     return;
   }
-  if (cfg_.require_signed_departures && !signed_notice) {
+  // A key-addressed ring signs every notice (see leave()), so an
+  // unsigned one there can only be forged: an eviction for a live node.
+  if (key_addressed() && !signed_notice) {
     ++stats_.departures_rejected;
     return;
   }

@@ -97,11 +97,6 @@ struct NodeConfig {
   /// CPU cost charged per received packet (routing is user-level work;
   /// IPOP raises this to its measured per-packet processing cost).
   Duration cpu_per_packet = util::microseconds(20);
-  /// Reject kDeparting notices that carry no signature.  Off by default
-  /// (plain BrunetNode rings have no identities); IPOP turns it on when
-  /// the overlay runs key-derived addresses, closing the forged-eviction
-  /// hole the hostile soak probes.
-  bool require_signed_departures = false;
 };
 
 struct NodeStats {
@@ -155,7 +150,8 @@ struct NodeStats {
   std::uint64_t relay_failovers = 0;
   /// kDeparting notices dropped because their signature was invalid,
   /// claimed an address the signing key does not own, or was missing
-  /// while the config demands signed departures.
+  /// at a key-addressed node (which signs its own notices, so demands
+  /// the same of its peers).
   std::uint64_t departures_rejected = 0;
 };
 
@@ -178,67 +174,6 @@ std::size_t encode_node_infos(util::ByteWriter& w,
 /// Decode a u8-count-prefixed NodeInfo list (the encode_node_infos
 /// layout); throws util::ParseError on a truncated list.
 std::vector<NodeInfo> decode_node_infos(util::ByteReader& r);
-
-/// Routing target of one originated payload: a single address or a
-/// fan-out list, each with a routing mode.  Fan-out spans reference the
-/// caller's storage; send() consumes them synchronously.
-class Destination {
- public:
-  static Destination unicast(const Address& a,
-                             RoutingMode m = RoutingMode::kExact) {
-    Destination d;
-    d.single_ = a;
-    d.mode_ = m;
-    return d;
-  }
-  static Destination closest(const Address& a) {
-    return unicast(a, RoutingMode::kClosest);
-  }
-  static Destination fanout(std::span<const Address> as,
-                            RoutingMode m = RoutingMode::kExact) {
-    Destination d;
-    d.many_ = as;
-    d.is_fanout_ = true;
-    d.mode_ = m;
-    return d;
-  }
-
-  RoutingMode mode() const { return mode_; }
-  bool is_fanout() const { return is_fanout_; }
-  const Address& addr() const { return single_; }
-  std::span<const Address> addrs() const { return many_; }
-
- private:
-  Destination() = default;
-  Address single_{};
-  std::span<const Address> many_{};
-  RoutingMode mode_ = RoutingMode::kExact;
-  bool is_fanout_ = false;
-};
-
-/// One originated routed payload: owns the bytes and states the headroom
-/// intent.  Every application packet leaves through
-/// send(Destination, OutboundFrame&&) — the single choke point the
-/// security layer wraps (IPOP seals tunnel payloads and the DHT signs
-/// records *before* constructing the frame, so nothing routed can bypass
-/// them).
-struct OutboundFrame {
-  PacketType type = PacketType::kAppData;
-  util::Buffer payload;
-  std::uint32_t msg_id = 0;
-  /// kTake consumes the payload's own front slack for in-place
-  /// encapsulation (the zero-copy unicast path); kShare leaves the
-  /// storage untouched and writes headers into per-destination side
-  /// segments.  Fan-out destinations always share.
-  enum class Headroom : std::uint8_t { kTake, kShare };
-  Headroom headroom = Headroom::kTake;
-
-  OutboundFrame(PacketType t, util::Buffer b, std::uint32_t id = 0)
-      : type(t), payload(std::move(b)), msg_id(id) {}
-  OutboundFrame(PacketType t, std::vector<std::uint8_t> b,
-                std::uint32_t id = 0)
-      : type(t), payload(util::Buffer::wrap(std::move(b))), msg_id(id) {}
-};
 
 class BrunetNode {
  public:
@@ -289,21 +224,25 @@ class BrunetNode {
   void add_departure_hook(std::function<void()> hook);
 
   // --- messaging ---------------------------------------------------------
-  /// THE outbound entry point: every originated routed packet goes
-  /// through here (request/respond are conveniences over it).
+  /// Originate one routed packet: every application packet leaves through
+  /// send() or send_fanout() (request/respond are conveniences over
+  /// send), the choke point the security layer sits in front of — IPOP
+  /// seals tunnel payloads and the DHT signs records before calling.
   ///
-  /// Unicast with Headroom::kTake is the zero-copy path: a payload with
-  /// kHeaderSize bytes of front slack (e.g. a captured tap frame) is
-  /// encapsulated in place; otherwise it is copied exactly once into the
-  /// wire image.  A fan-out destination sends one routed packet per
-  /// address, every packet sharing the payload's storage (headers live
-  /// in per-destination side segments with headroom for the transport
-  /// prepends); destinations routing over the same edge leave in one
-  /// batched transport send — UDP crosses the socket sendmmsg-style,
-  /// TCP as one gathered stream write.  Returns packets accepted for
-  /// routing or delivered locally (fan-out routing drops are excluded
-  /// and counted in NodeStats as usual).
-  std::size_t send(const Destination& dst, OutboundFrame&& frame);
+  /// A payload with kHeaderSize bytes of front slack (e.g. a captured tap
+  /// frame) is encapsulated in place; otherwise it is copied exactly once
+  /// into the wire image.
+  void send(const Address& dst, PacketType type, util::Buffer payload,
+            RoutingMode mode = RoutingMode::kExact, std::uint32_t msg_id = 0);
+  /// One kExact packet per address, every packet sharing the payload's
+  /// storage: headers live in per-destination side segments with
+  /// headroom for the transport prepends.  All frames are built first,
+  /// then each leaves with one edge send, in destination order; UDP edges
+  /// are corked across the dispatch, so the whole fan-out crosses the
+  /// UDP socket once.  Returns packets accepted for routing or delivered
+  /// locally (routing drops are excluded and counted in NodeStats).
+  std::size_t send_fanout(std::span<const Address> dsts, PacketType type,
+                          util::Buffer payload);
   /// Register the handler for an application packet type (kIpTunnel,
   /// kDhtRequest, kAppData); maintenance types are handled internally.
   void set_handler(PacketType type, PacketHandler handler);
@@ -408,12 +347,10 @@ class BrunetNode {
     /// are (the greedy-forwarding condition).
     bool have_closer = false;
   };
-  /// Greedy next-hop selection shared by route() and send_batch();
+  /// Greedy next-hop selection shared by route() and send_fanout();
   /// `src` is excluded so a packet never routes back toward its origin.
   NextHop pick_next_hop(const Address& dst, const Address& src) const;
   void route(Packet pkt, bool from_transit);
-  std::size_t send_fanout(std::span<const Address> dsts, PacketType type,
-                          RoutingMode mode, util::Buffer payload);
   void deliver(const Packet& pkt);
 
   /// Register a pending request: a fresh msg_id whose response (or

@@ -91,9 +91,6 @@ struct Packet {
   void set_payload(std::vector<std::uint8_t> bytes);
   void set_payload(util::Buffer bytes);
 
-  /// True once the buffer holds the full wire image (after decode(Buffer)
-  /// or finalize()).
-  bool has_wire() const { return wire_; }
   /// Materialize or refresh the wire image and return a handle sharing
   /// its storage.  For a packet decoded from the wire this is two
   /// one-byte patches (ttl, hops) — the payload is never copied.  For a

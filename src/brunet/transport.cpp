@@ -59,11 +59,6 @@ void TcpEdge::send_chain(util::BufferChain chain) {
   if (auto stream = stream_.lock()) stream->send(std::move(chain));
 }
 
-void TcpEdge::send_batch(std::vector<util::BufferChain> chains) {
-  if (!up_) return;
-  if (auto stream = stream_.lock()) stream->send_batch(std::move(chains));
-}
-
 void TcpEdge::close() {
   if (!up_) return;
   up_ = false;
@@ -94,15 +89,6 @@ void UdpEdge::send_chain(util::BufferChain chain) {
     return;
   }
   transport_->send_to(ip_, port_, std::move(chain));
-}
-
-void UdpEdge::send_batch(std::vector<util::BufferChain> chains) {
-  if (!up_ || transport_ == nullptr) return;
-  if (transport_->corked()) {
-    for (auto& c : chains) transport_->stage(ip_, port_, std::move(c));
-    return;
-  }
-  transport_->send_batch(ip_, port_, std::move(chains));
 }
 
 void UdpEdge::close() {
@@ -238,17 +224,6 @@ void UdpTransport::send_to(net::Ipv4Address ip, std::uint16_t port,
 void UdpTransport::send_to(net::Ipv4Address ip, std::uint16_t port,
                            util::BufferChain data) {
   if (sock_ != nullptr) sock_->send_to(ip, port, std::move(data));
-}
-
-void UdpTransport::send_batch(net::Ipv4Address ip, std::uint16_t port,
-                              std::vector<util::BufferChain> chains) {
-  if (sock_ == nullptr) return;
-  std::vector<net::UdpSendItem> items;
-  items.reserve(chains.size());
-  for (auto& chain : chains) {
-    items.push_back(net::UdpSendItem{ip, port, std::move(chain)});
-  }
-  sock_->send_batch(items);
 }
 
 void UdpTransport::stage(net::Ipv4Address ip, std::uint16_t port,

@@ -69,12 +69,6 @@ class Edge {
   /// header in front of a shared payload buffer) cross the edge without
   /// being flattened by the caller.
   virtual void send_chain(util::BufferChain chain) = 0;
-  /// Batched send: every chain is one packet, emitted with a single
-  /// transport crossing where the transport supports it (UDP's
-  /// sendmmsg-style socket batch, one gathered stream write for TCP).
-  virtual void send_batch(std::vector<util::BufferChain> chains) {
-    for (auto& c : chains) send_chain(std::move(c));
-  }
   virtual void close() = 0;
   virtual TransportAddress remote() const = 0;
   virtual bool is_up() const = 0;
@@ -122,10 +116,6 @@ class TcpEdge : public Edge, public std::enable_shared_from_this<TcpEdge> {
 
   void send(util::Buffer bytes) override;
   void send_chain(util::BufferChain chain) override;
-  /// One gathered stream write for the whole batch: frames are linked
-  /// into the socket send queue back to back and the socket is crossed
-  /// once.
-  void send_batch(std::vector<util::BufferChain> chains) override;
   void close() override;
   TransportAddress remote() const override;
   bool is_up() const override { return up_; }
@@ -157,8 +147,6 @@ class UdpEdge : public Edge {
 
   void send(util::Buffer bytes) override;
   void send_chain(util::BufferChain chain) override;
-  /// One sendmmsg-style socket crossing for the whole batch.
-  void send_batch(std::vector<util::BufferChain> chains) override;
   void close() override;
   TransportAddress remote() const override {
     return {TransportAddress::Proto::kUdp, ip_, port_};
@@ -220,8 +208,8 @@ class UdpTransport {
   /// Underlying socket (stats introspection for tests/benches).
   const std::shared_ptr<net::UdpSocket>& socket() const { return sock_; }
 
-  /// sendmmsg-style corking: between cork() and uncork(), chain/batch
-  /// sends on *any* of this transport's edges are staged instead of
+  /// sendmmsg-style corking: between cork() and uncork(), chain sends
+  /// on *any* of this transport's edges are staged instead of
   /// emitted, and the final uncork flushes every staged datagram —
   /// across edges and destinations — through one UdpSocket::send_batch
   /// call.  Nests (cork twice, flush on the last uncork).  A socket that
@@ -237,9 +225,6 @@ class UdpTransport {
   void send_to(net::Ipv4Address ip, std::uint16_t port, util::Buffer data);
   void send_to(net::Ipv4Address ip, std::uint16_t port,
                util::BufferChain data);
-  /// One UdpSocket::send_batch call for all chains toward one endpoint.
-  void send_batch(net::Ipv4Address ip, std::uint16_t port,
-                  std::vector<util::BufferChain> chains);
   void stage(net::Ipv4Address ip, std::uint16_t port,
              util::BufferChain chain);
   void remove_edge(net::Ipv4Address ip, std::uint16_t port);

@@ -22,7 +22,6 @@ IpopNode::IpopNode(net::Host& host, IpopConfig cfg)
     // Self-configuring mode is key-addressed: the ring position derives
     // from the public key, so leases / ARP bindings are hijack-proof and
     // departure notices must be signed.
-    cfg_.overlay.require_signed_departures = true;
     overlay_ =
         std::make_unique<brunet::BrunetNode>(host_, identity, cfg_.overlay);
   } else {
@@ -262,9 +261,7 @@ void IpopNode::tunnel(net::Ipv4Address dst_ip, util::Buffer ip_bytes) {
     } else {
       ++metrics_.packets_clear;
     }
-    overlay_->send(brunet::Destination::unicast(addr),
-                   brunet::OutboundFrame(brunet::PacketType::kIpTunnel,
-                                         std::move(bytes)));
+    overlay_->send(addr, brunet::PacketType::kIpTunnel, std::move(bytes));
   };
 
   if (!cfg_.use_brunet_arp) {

@@ -37,13 +37,11 @@ TapDevice::TapDevice(net::Host& host, const TapConfig& cfg)
 
   // User face.
   link_.end_b().set_receiver([this](sim::Frame frame) {
-    ++frames_read_;
     if (handler_) handler_(std::move(frame));
   });
 }
 
 void TapDevice::write_frame(util::Buffer frame) {
-  ++frames_written_;
   link_.end_b().send(std::move(frame));
 }
 

@@ -56,8 +56,6 @@ class TapDevice {
   net::MacAddress kernel_mac() const { return kernel_mac_; }
   net::MacAddress gateway_mac() const { return gateway_mac_; }
   net::Host& host() { return host_; }
-  std::uint64_t frames_read() const { return frames_read_; }
-  std::uint64_t frames_written() const { return frames_written_; }
 
  private:
   net::Host& host_;
@@ -66,8 +64,6 @@ class TapDevice {
   net::MacAddress kernel_mac_;
   net::MacAddress gateway_mac_;
   FrameHandler handler_;
-  std::uint64_t frames_read_ = 0;
-  std::uint64_t frames_written_ = 0;
 };
 
 }  // namespace ipop::core

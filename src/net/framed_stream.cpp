@@ -26,7 +26,9 @@ std::shared_ptr<FramedStream> FramedStream::attach(
   return stream;
 }
 
-void FramedStream::enqueue(util::BufferChain framed) {
+void FramedStream::send(util::BufferChain body) {
+  if (closing_) return;
+  auto framed = frame(std::move(body));
   if (!backlog_.empty()) {
     // Earlier frames are still waiting: preserve stream order.
     backlog_.append(std::move(framed));
@@ -34,18 +36,6 @@ void FramedStream::enqueue(util::BufferChain framed) {
   }
   sock_->send_from(framed);  // consumes the accepted prefix in place
   if (!framed.empty()) backlog_ = std::move(framed);
-}
-
-void FramedStream::send(util::BufferChain body) {
-  if (closing_) return;
-  enqueue(frame(std::move(body)));
-}
-
-void FramedStream::send_batch(std::vector<util::BufferChain> bodies) {
-  if (closing_) return;
-  util::BufferChain all;
-  for (auto& b : bodies) all.append(frame(std::move(b)));
-  enqueue(std::move(all));
 }
 
 void FramedStream::flush() {

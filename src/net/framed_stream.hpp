@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "net/tcp.hpp"
 #include "util/buffer.hpp"
@@ -43,8 +42,6 @@ class FramedStream : public std::enable_shared_from_this<FramedStream> {
   /// without copying; what the socket refuses waits in a backlog that
   /// on_writable flushes.  Ignored after close().
   void send(util::BufferChain body);
-  /// Queue several messages with one socket crossing.
-  void send_batch(std::vector<util::BufferChain> bodies);
   /// Graceful close once the backlog has entered the socket.
   void close();
   void abort();
@@ -57,7 +54,6 @@ class FramedStream : public std::enable_shared_from_this<FramedStream> {
   explicit FramedStream(std::shared_ptr<TcpSocket> sock)
       : sock_(std::move(sock)) {}
 
-  void enqueue(util::BufferChain framed);
   void drain();
   void flush();
 

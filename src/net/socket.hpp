@@ -36,7 +36,6 @@ class UdpSocket : public std::enable_shared_from_this<UdpSocket> {
       Ipv4Address src, std::uint16_t src_port, util::Buffer data)>;
 
   std::uint16_t port() const { return port_; }
-  bool is_open() const { return stack_ != nullptr; }
 
   /// Delivery is a sub-buffer share, not the kernel/user copy the paper's
   /// Section V.2 proposes eliminating.

@@ -190,7 +190,6 @@ class Stack {
   std::uint64_t uid() const { return uid_; }
   const StackCounters& counters() const { return counters_; }
   const StackConfig& config() const { return cfg_; }
-  void set_per_packet_delay(Duration d) { cfg_.per_packet_delay = d; }
   util::Rng& rng() { return rng_; }
   /// True if `ip` is one of this stack's interface addresses.
   bool is_local_ip(Ipv4Address ip) const;

@@ -43,8 +43,6 @@ class CpuScheduler {
 
   /// Total CPU time consumed (after load scaling).
   Duration busy_total() const { return busy_total_; }
-  /// Time at which all queued work completes.
-  TimePoint free_at() const { return free_at_; }
   /// Work items executed.
   std::uint64_t tasks() const { return tasks_; }
   const std::string& name() const { return name_; }

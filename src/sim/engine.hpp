@@ -65,7 +65,6 @@ class ShardedEngine {
   /// be called at most once, before any events are scheduled.  `seed`
   /// feeds the per-shard Rng streams.
   void plan(std::size_t n, std::uint64_t seed = 1);
-  bool planned() const { return planned_; }
 
   std::size_t shards() const { return loops_.size(); }
   std::size_t shard_of(VertexId v) const { return shard_of_[v]; }
@@ -104,7 +103,6 @@ class ShardedEngine {
   void worker_main(std::size_t shard);
   void run_phase(Phase phase, TimePoint end);
   void drain_channels();
-  std::size_t start_threads_and_barrier(std::size_t n);
 
   bool planned_ = false;
   std::uint64_t seed_ = 1;

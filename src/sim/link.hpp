@@ -68,7 +68,6 @@ class LinkEnd {
  public:
   void send(Frame frame);
   void set_receiver(FrameHandler handler) { receiver_ = std::move(handler); }
-  bool has_receiver() const { return static_cast<bool>(receiver_); }
   Link& link() { return *link_; }
 
  private:

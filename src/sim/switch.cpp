@@ -113,7 +113,6 @@ void Switch::handle_frame(std::size_t in_port, Frame frame) {
   }
   if (suppress_arp_ && try_suppress_arp(in_port, frame)) return;
   // Broadcast or unknown unicast: flood all other ports.
-  ++flooded_;
   for (std::size_t p = 0; p < ports_.size(); ++p) {
     if (p == in_port) continue;
     forward(p, frame);

@@ -41,14 +41,12 @@ class Switch {
 
   std::size_t ports() const { return ports_.size(); }
   std::uint64_t frames_forwarded() const { return forwarded_; }
-  std::uint64_t frames_flooded() const { return flooded_; }
   std::uint64_t arp_suppressed() const { return arp_suppressed_; }
   const std::string& name() const { return name_; }
 
   /// Turn proxy-ARP / flood suppression on; replays already-registered
   /// endpoints into the MAC table.
   void set_arp_suppression(bool on);
-  bool arp_suppression() const { return suppress_arp_; }
   /// Register an endpoint's IPv4→(MAC, port) binding (host byte order).
   /// Consulted only while suppression is on.
   void register_endpoint(std::uint32_t ipv4,
@@ -78,7 +76,6 @@ class Switch {
   std::unordered_map<std::uint32_t, Endpoint> arp_registry_;
   bool suppress_arp_ = false;
   std::uint64_t forwarded_ = 0;
-  std::uint64_t flooded_ = 0;
   std::uint64_t arp_suppressed_ = 0;
   // Declared last: forwarding-delay events may still be queued when a
   // Switch is destroyed; their lambdas carry a guard, not a bare `this`.

@@ -63,7 +63,6 @@ class Histogram {
   std::size_t total() const { return total_; }
   const std::vector<std::size_t>& counts() const { return counts_; }
   double bin_lo(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-  double bin_width() const { return width_; }
 
   /// Multi-line ASCII bar chart; `max_width` is the widest bar in chars.
   std::string render(std::size_t max_width = 50,

@@ -222,14 +222,18 @@ TEST(ConnectionTableTest, NeighborOrdering) {
     c.addr = mk(v);
     table.add(c);
   }
-  auto right = table.right_neighbors(2);
+  std::vector<Address> right;
+  table.for_each_right(2,
+                       [&](const Connection& c) { right.push_back(c.addr); });
   ASSERT_EQ(right.size(), 2u);
-  EXPECT_EQ(right[0]->addr, mk(120));
-  EXPECT_EQ(right[1]->addr, mk(200));
-  auto left = table.left_neighbors(2);
+  EXPECT_EQ(right[0], mk(120));
+  EXPECT_EQ(right[1], mk(200));
+  std::vector<Address> left;
+  table.for_each_left(2,
+                      [&](const Connection& c) { left.push_back(c.addr); });
   ASSERT_EQ(left.size(), 2u);
-  EXPECT_EQ(left[0]->addr, mk(50));
-  EXPECT_EQ(left[1]->addr, mk(10));
+  EXPECT_EQ(left[0], mk(50));
+  EXPECT_EQ(left[1], mk(10));
   (void)b;
 }
 
@@ -344,14 +348,18 @@ TEST(ConnectionTableTest, RingIndexMatchesLinearReference) {
     });
     for (std::size_t k : {std::size_t{1}, std::size_t{3},
                           members.size(), members.size() + 5}) {
-      const auto right = table.right_neighbors(k);
-      const auto left = table.left_neighbors(k);
+      std::vector<Address> right;
+      std::vector<Address> left;
+      table.for_each_right(
+          k, [&](const Connection& c) { right.push_back(c.addr); });
+      table.for_each_left(
+          k, [&](const Connection& c) { left.push_back(c.addr); });
       const std::size_t expect = std::min(k, members.size());
       ASSERT_EQ(right.size(), expect);
       ASSERT_EQ(left.size(), expect);
       for (std::size_t i = 0; i < expect; ++i) {
-        EXPECT_EQ(right[i]->addr, cw[i]);
-        EXPECT_EQ(left[i]->addr, cw[cw.size() - 1 - i]);
+        EXPECT_EQ(right[i], cw[i]);
+        EXPECT_EQ(left[i], cw[cw.size() - 1 - i]);
       }
     }
     ASSERT_NE(table.right_neighbor(), nullptr);
@@ -606,10 +614,8 @@ TEST(OverlayRouting, ExactDeliveryBetweenAllPairs) {
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
       if (i == j) continue;
-      f.nodes[i]->send(
-          Destination::unicast(f.addrs[j]),
-          OutboundFrame(PacketType::kAppData,
-                        std::vector<std::uint8_t>{static_cast<std::uint8_t>(i)}));
+      f.nodes[i]->send(f.addrs[j], PacketType::kAppData,
+                       util::Buffer::wrap({static_cast<std::uint8_t>(i)}));
     }
   }
   f.net.loop().run_until(f.net.loop().now() + seconds(10));
@@ -639,9 +645,8 @@ TEST(OverlayRouting, ClosestModeDeliversToClosestNode) {
           });
     }
     const std::size_t origin = trial % f.nodes.size();
-    f.nodes[origin]->send(Destination::closest(target),
-                          OutboundFrame(PacketType::kAppData,
-                                        std::vector<std::uint8_t>{}));
+    f.nodes[origin]->send(target, PacketType::kAppData,
+                          util::Buffer::wrap({}), RoutingMode::kClosest);
     f.net.loop().run_until(f.net.loop().now() + seconds(2));
     if (origin != expected) {
       EXPECT_EQ(hits, 1) << "trial " << trial;
@@ -668,9 +673,8 @@ TEST(OverlayRouting, HopCountLogarithmicWithShortcuts) {
   for (std::size_t i = 0; i < f.nodes.size(); ++i) {
     for (std::size_t j = 0; j < f.nodes.size(); ++j) {
       if (i == j) continue;
-      f.nodes[i]->send(Destination::unicast(f.addrs[j]),
-                       OutboundFrame(PacketType::kAppData,
-                                     std::vector<std::uint8_t>{}));
+      f.nodes[i]->send(f.addrs[j], PacketType::kAppData,
+                       util::Buffer::wrap({}));
     }
   }
   f.net.loop().run_until(f.net.loop().now() + seconds(10));
@@ -722,13 +726,12 @@ TEST(OverlayChurn, GracefulLeaveEvictsImmediatelyAndRepairsRing) {
 }
 
 TEST(OverlayChurn, ForgedDeparturesAreRejected) {
-  // Key-addressed nodes demanding signed departures: a kDeparting notice
+  // Key-addressed nodes demand signed departures: a kDeparting notice
   // evicts its subject only when signed by the key that derives the
   // subject's address.
   OverlayFixture f;
   f.build(5, TransportAddress::Proto::kUdp, /*seed=*/77,
           /*key_addressed=*/true);
-  for (auto& n : f.nodes) n->config().require_signed_departures = true;
   f.start_all();
   ASSERT_TRUE(f.converge());
   BrunetNode& victim = *f.nodes[1];
@@ -1442,19 +1445,34 @@ TEST_F(SignedDhtFixture, SignedRecordRoundTripsOwnerKeyToReaders) {
   EXPECT_TRUE(got->verify(key));
 }
 
-// --- batched fan-out sends ---------------------------------------------------
+// --- fan-out sends ----------------------------------------------------------
 
-struct BatchSendFixture : ::testing::Test {
+struct FanoutSendFixture
+    : ::testing::TestWithParam<TransportAddress::Proto> {
   OverlayFixture f;
 
   void SetUp() override {
-    f.build(5, TransportAddress::Proto::kUdp);
+    f.build(5, GetParam());
     f.start_all();
     ASSERT_TRUE(f.converge());
   }
+
+  std::uint64_t copied_on_all_hosts() const {
+    std::uint64_t n = 0;
+    for (auto* h : f.hosts) n += h->stack().counters().payload_bytes_copied;
+    return n;
+  }
 };
 
-TEST_F(BatchSendFixture, SendBatchDeliversToAllWithOneSocketCrossing) {
+INSTANTIATE_TEST_SUITE_P(
+    Transports, FanoutSendFixture,
+    ::testing::Values(TransportAddress::Proto::kUdp,
+                      TransportAddress::Proto::kTcp),
+    [](const auto& info) {
+      return info.param == TransportAddress::Proto::kUdp ? "Udp" : "Tcp";
+    });
+
+TEST_P(FanoutSendFixture, DeliversToAllWithoutCopyingThePayload) {
   std::vector<std::vector<std::uint8_t>> got(f.nodes.size());
   for (std::size_t i = 1; i < f.nodes.size(); ++i) {
     f.nodes[i]->set_handler(PacketType::kAppData,
@@ -1468,46 +1486,43 @@ TEST_F(BatchSendFixture, SendBatchDeliversToAllWithOneSocketCrossing) {
 
   const auto& c = f.hosts[0]->stack().counters();
   const auto calls_before = c.udp_send_calls;
-  const auto copied_before = c.payload_bytes_copied;
+  const auto copied_before = copied_on_all_hosts();
   // A fan-out send is synchronous down to the socket: the counters move
   // before the loop runs again, so background maintenance cannot blur
   // the assertion.
-  EXPECT_EQ(f.nodes[0]->send(Destination::fanout(dsts),
-                             OutboundFrame(PacketType::kAppData,
-                                           payload.share())),
+  EXPECT_EQ(f.nodes[0]->send_fanout(dsts, PacketType::kAppData,
+                                    payload.share()),
             dsts.size());
-  EXPECT_EQ(c.udp_send_calls - calls_before, 1u)
-      << "fan-out to 4 destinations should cross the UDP socket once";
-  EXPECT_EQ(c.payload_bytes_copied - copied_before, 0u)
-      << "the shared payload buffer must never be duplicated on the host";
+  if (GetParam() == TransportAddress::Proto::kUdp) {
+    EXPECT_EQ(c.udp_send_calls - calls_before, 1u)
+        << "fan-out to 4 destinations should cross the UDP socket once";
+  }
 
   f.net.loop().run_until(f.net.loop().now() + seconds(2));
   for (std::size_t i = 1; i < f.nodes.size(); ++i) {
     EXPECT_EQ(got[i], value) << "destination " << i;
   }
+  EXPECT_EQ(copied_on_all_hosts() - copied_before, 0u)
+      << "the shared payload buffer must never be duplicated on a host";
 }
 
-TEST_F(BatchSendFixture, SendBatchIncludesLocalDelivery) {
+TEST_P(FanoutSendFixture, IncludesLocalDelivery) {
   std::vector<std::uint8_t> local;
   f.nodes[0]->set_handler(PacketType::kAppData, [&](const Packet& pkt) {
     local = pkt.payload().to_vector();
   });
   std::vector<Address> dsts{f.addrs[0], f.addrs[1]};
   auto payload = util::Buffer::copy_of(std::vector<std::uint8_t>{9, 9, 9});
-  EXPECT_EQ(f.nodes[0]->send(Destination::fanout(dsts),
-                             OutboundFrame(PacketType::kAppData,
-                                           payload.share())),
+  EXPECT_EQ(f.nodes[0]->send_fanout(dsts, PacketType::kAppData,
+                                    payload.share()),
             2u);
   EXPECT_EQ(local, (std::vector<std::uint8_t>{9, 9, 9}));
 }
 
-TEST_F(BatchSendFixture, DhtReplicationCopiesNoPayloadBytes) {
+TEST_P(FanoutSendFixture, DhtReplicationCopiesNoPayloadBytes) {
   std::vector<std::unique_ptr<Dht>> dhts;
   for (auto& n : f.nodes) dhts.push_back(std::make_unique<Dht>(*n));
-  std::uint64_t copied_before = 0;
-  for (auto* h : f.hosts) {
-    copied_before += h->stack().counters().payload_bytes_copied;
-  }
+  const auto copied_before = copied_on_all_hosts();
   const auto key = Address::hash("zero-copy-replication");
   bool put_ok = false;
   dhts[1]->put(key, std::vector<std::uint8_t>(900, 0x42),
@@ -1519,11 +1534,7 @@ TEST_F(BatchSendFixture, DhtReplicationCopiesNoPayloadBytes) {
   EXPECT_GE(copies, 2u);  // owner + at least one replica
   // The whole put — routed request, replication fan-out, response —
   // crossed every stack without a payload memcpy.
-  std::uint64_t copied_after = 0;
-  for (auto* h : f.hosts) {
-    copied_after += h->stack().counters().payload_bytes_copied;
-  }
-  EXPECT_EQ(copied_after - copied_before, 0u);
+  EXPECT_EQ(copied_on_all_hosts() - copied_before, 0u);
 }
 
 }  // namespace

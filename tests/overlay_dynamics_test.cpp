@@ -362,10 +362,9 @@ TEST_P(SeedSweep, RingConvergesAndRoutesForAnyAddressDistribution) {
     }
     const std::size_t origin = static_cast<std::size_t>(t) % o.nodes.size();
     if (origin == expected) continue;
-    o.nodes[origin]->send(
-        brunet::Destination::closest(target),
-        brunet::OutboundFrame(brunet::PacketType::kAppData,
-                              std::vector<std::uint8_t>{}));
+    o.nodes[origin]->send(target, brunet::PacketType::kAppData,
+                          util::Buffer::wrap({}),
+                          brunet::RoutingMode::kClosest);
     o.net.loop().run_until(o.net.loop().now() + seconds(2));
   }
   EXPECT_GT(delivered, 0);
