@@ -1,6 +1,7 @@
 #include "brunet/dht.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "util/logging.hpp"
 
@@ -32,10 +33,8 @@ void encode_record_fields(util::ByteWriter& w, const Record& rec) {
   w.u64(rec.version);
   w.u32(rec.ttl);
   w.u8(rec.flags);
-  if (rec.is_signed()) {
-    w.bytes(std::span<const std::uint8_t>(rec.owner.bytes));
-    w.bytes(std::span<const std::uint8_t>(rec.sig.bytes));
-  }
+  w.bytes(std::span<const std::uint8_t>(rec.owner.bytes));
+  w.bytes(std::span<const std::uint8_t>(rec.sig.bytes));
   w.lp_bytes(rec.value.as_span());
 }
 
@@ -83,6 +82,9 @@ bool Record::verify(const Address& key) const {
 }
 
 Dht::Dht(BrunetNode& node, DhtConfig cfg) : node_(node), cfg_(cfg) {
+  if (!node_.has_identity()) {
+    throw std::invalid_argument("Dht requires a node with an identity");
+  }
   node_.set_handler(PacketType::kDhtRequest,
                     [this](const Packet& pkt) { handle_request(pkt); });
   republish_timer_ = node_.host().loop().schedule_after(
@@ -131,13 +133,11 @@ std::uint64_t Dht::write_stamp() {
 
 void Dht::finalize_outgoing(const Key& key, Record& rec) {
   rec.version = write_stamp();
-  // Every write from an identity-bearing node is signed — the subsystems
-  // above (DHCP, Brunet-ARP) get ownership protection without holding
-  // key material themselves.  Signing happens after the version stamp
-  // because the signature covers it (replay protection).
-  if (node_.has_identity()) {
-    rec.sign(key, node_.identity().keys);
-  }
+  // Every write is signed — the subsystems above (DHCP, Brunet-ARP) get
+  // ownership protection without holding key material themselves.
+  // Signing happens after the version stamp because the signature covers
+  // it (replay protection).
+  rec.sign(key, node_.identity().keys);
 }
 
 void Dht::put(const Key& key, Record rec, PutCallback cb) {
@@ -151,13 +151,6 @@ void Dht::put(const Key& key, Record rec, PutCallback cb) {
 }
 
 void Dht::release(const Key& key, PutCallback cb) {
-  // An unsigned release would be a free hijack primitive (anyone could
-  // erase anyone's record), so it only exists for identity-bearing
-  // nodes; the storing node enforces the same rule.
-  if (!node_.has_identity()) {
-    if (cb) cb(false);
-    return;
-  }
   put(key, Record{}, std::move(cb));  // empty value = release
 }
 
@@ -251,12 +244,13 @@ Record Dht::decode_record(util::ByteReader& r, const util::Buffer& storage) {
   rec.version = r.u64();
   rec.ttl = r.u32();
   rec.flags = r.u8();
-  if (rec.is_signed()) {
-    const auto pk = r.bytes(rec.owner.bytes.size());
-    std::copy(pk.begin(), pk.end(), rec.owner.bytes.begin());
-    const auto sg = r.bytes(rec.sig.bytes.size());
-    std::copy(sg.begin(), sg.end(), rec.sig.bytes.begin());
-  }
+  // An unsigned record has no owner to hold the key against, so it is
+  // malformed rather than a second trust mode.
+  if (!rec.is_signed()) throw util::ParseError("unsigned DHT record");
+  const auto pk = r.bytes(rec.owner.bytes.size());
+  std::copy(pk.begin(), pk.end(), rec.owner.bytes.begin());
+  const auto sg = r.bytes(rec.sig.bytes.size());
+  std::copy(sg.begin(), sg.end(), rec.sig.bytes.begin());
   const std::uint32_t len = r.u32();
   // `storage` backs exactly the span the reader walks, so the value is a
   // sub-buffer of the carrying packet: zero-copy decode, and the record
@@ -268,16 +262,16 @@ Record Dht::decode_record(util::ByteReader& r, const util::Buffer& storage) {
 }
 
 std::uint8_t Dht::check_ownership(const Key& key, const Record& rec) {
-  if (rec.is_signed() && !rec.verify(key)) {
+  if (!rec.verify(key)) {
     ++stats_.sig_rejects;
     return kConflict;
   }
   const Stored* inc = live(key);
-  if (inc == nullptr || !inc->rec.is_signed()) {
-    return kOk;  // no live signed incumbent: first come, first served
+  if (inc == nullptr) {
+    return kOk;  // no live incumbent: first come, first served
   }
-  // A live signed record holds the key: only its owner may touch it.
-  if (!rec.is_signed() || !(rec.owner == inc->rec.owner)) {
+  // A live record holds the key: only its owner may touch it.
+  if (!(rec.owner == inc->rec.owner)) {
     ++stats_.owner_rejects;
     return kConflict;
   }
@@ -319,14 +313,12 @@ void Dht::handle_request(const Packet& pkt) {
         // soak probes.  Consult the ex-closest node first: a live record
         // there signed by a DIFFERENT key outranks the newcomer (the
         // create path runs the same consult for the same reason).
-        const Stored* inc = live(key);
-        if ((inc == nullptr || !inc->rec.is_signed()) && rec.is_signed() &&
-            node_.uptime() < kMinOwnerAge) {
+        if (live(key) == nullptr && node_.uptime() < kMinOwnerAge) {
           if (const Connection* prev = node_.table().closest_to(key)) {
             accept_unless_held(
                 *prev, key, std::move(rec), pkt,
                 [](const Record& held, const Record& rec) {
-                  return held.is_signed() && !(held.owner == rec.owner);
+                  return !(held.owner == rec.owner);
                 },
                 &DhtStats::owner_rejects);
             return;
@@ -511,25 +503,10 @@ void Dht::accept_write(const Key& key, Record rec, const Packet& req) {
                   std::vector<std::uint8_t>{kOk});
     return;
   }
-  bump_version(key, rec);
   store_record(key, rec);
   replicate(key, rec);
   node_.respond(req, PacketType::kDhtResponse,
                 std::vector<std::uint8_t>{kOk});
-}
-
-void Dht::bump_version(const Key& key, Record& rec) {
-  // Writers stamp versions from their own independent counters, so an
-  // accepted overwrite must also dominate whatever version the previous
-  // writer left here (and on the replicas) — otherwise store_record()
-  // keeps the old record while the owner already answered kOk.  Signed
-  // records are exempt: restamping would break the signature, and their
-  // replay gate already rejected non-dominating writes.
-  if (rec.is_signed()) return;
-  auto it = store_.find(key);
-  if (it != store_.end()) {
-    rec.version = std::max(rec.version, it->second.rec.version + 1);
-  }
 }
 
 std::vector<std::uint8_t> Dht::encode_lookup(Op op, const Key& key) {

@@ -30,18 +30,20 @@ struct DhtConfig {
 /// One typed DHT record.  `value` is a util::Buffer, so owner-side reads
 /// and replica decodes share the carrying packet's storage instead of
 /// copying; the version stamp orders writes, the TTL bounds the record's
-/// life, and a signed record carries the writer's public key + signature
-/// over (key || version || ttl || flags || value).
+/// life, and every record carries the writer's public key + signature
+/// over (key || version || ttl || flags || value).  A record on the wire
+/// without kSigned is malformed.
 ///
 /// Ownership model (netsukuku ANDNA first-come-first-served): the storing
-/// node verifies the signature, and while a *live* signed record holds a
-/// key, only a record signed by the same owner may replace it — a put,
+/// node verifies the signature, and while a *live* record holds a key,
+/// only a record signed by the same owner may replace it — a put,
 /// create or replica from anyone else is rejected at the storing node, so
 /// lease/binding hijacks die where the record lives, not at the honest
 /// reader.  An owner-signed record with an empty value is a release: it
 /// erases the record, freeing the key immediately (migration/departure).
 struct Record {
-  /// flags bit: owner + sig fields are present and must verify.
+  /// flags bit: owner + sig fields are present and must verify (set on
+  /// every record Dht writes; decoding rejects a record without it).
   static constexpr std::uint8_t kSigned = 1;
   /// flags bit: the value's first kBytes claim an overlay address, and
   /// the storing node requires that address to derive from `owner` — a
@@ -114,9 +116,9 @@ struct DhtStats {
   /// Writes rejected at the storing node because their signature (or
   /// kKeyBound address claim) failed to verify.
   std::uint64_t sig_rejects = 0;
-  /// Writes rejected at the storing node because a live signed record
-  /// holds the key and the write was unsigned or signed by a different
-  /// key (the attempted-hijack counter the hostile soak gates on).
+  /// Writes rejected at the storing node because a live record holds the
+  /// key and the write was signed by a different key (the
+  /// attempted-hijack counter the hostile soak gates on).
   std::uint64_t owner_rejects = 0;
   /// Owner-signed empty-value writes that erased a record (release).
   std::uint64_t releases = 0;
@@ -134,13 +136,15 @@ class Dht {
   /// answers kRetry instead, and create() backs off and retries.
   static constexpr Duration kMinOwnerAge = util::seconds(5);
 
+  /// Throws std::invalid_argument when `node` carries no identity: every
+  /// record this Dht writes is signed with the node's keys.
   Dht(BrunetNode& node, DhtConfig cfg = {});
   ~Dht();
 
   /// Store a record at the node closest to `key` (plus replicas).  The
-  /// Dht stamps the version, and — when the node carries an identity —
-  /// signs the record before it leaves, so every subsystem writing
-  /// through here gets ownership protection without touching crypto.
+  /// Dht stamps the version and signs the record before it leaves, so
+  /// every subsystem writing through here gets ownership protection
+  /// without touching crypto.
   /// Caller-set kKeyBound is preserved (only set it on values whose
   /// first 20 bytes claim this node's key-derived address).
   void put(const Key& key, Record rec, PutCallback cb);
@@ -165,8 +169,7 @@ class Dht {
   void get(const Key& key, GetCallback cb);
   /// Release `key` (owner-signed empty-value put): erases the record at
   /// the storing node, freeing the key immediately instead of waiting
-  /// out the TTL.  No-op reported as failure when this node carries no
-  /// identity (an unsigned release would be a free hijack primitive).
+  /// out the TTL.
   void release(const Key& key, PutCallback cb);
 
   /// Number of records this node currently stores.
@@ -198,16 +201,16 @@ class Dht {
   /// writes *across* writers (see the definition for why writer-local
   /// counters poison anti-entropy), strictly monotonic per writer.
   std::uint64_t write_stamp();
-  /// Stamp the version and (when the node has an identity) sign: the one
-  /// spot every outgoing put/create/release funnels through.
+  /// Stamp the version and sign: the one spot every outgoing
+  /// put/create/release funnels through.
   void finalize_outgoing(const Key& key, Record& rec);
   void handle_request(const Packet& pkt);
   void get_attempt(const Key& key, int retries_left, GetCallback cb);
   void create_attempt(const Key& key, Record rec, int retries_left,
                       PutCallback cb);
   /// Ownership gate for every incoming write (put/create/replica): a
-  /// malformed signature rejects outright, and a live signed record only
-  /// yields to the same owner.  Returns the status byte to answer with
+  /// bad signature rejects outright, and a live record only yields to the
+  /// same owner.  Returns the status byte to answer with
   /// (kOk = accept).
   std::uint8_t check_ownership(const Key& key, const Record& rec);
   /// Accept a put/create: stamp expiry, dominate the stored version,
@@ -226,13 +229,6 @@ class Dht {
                           bool (*conflicts)(const Record& held,
                                             const Record& rec),
                           std::uint64_t DhtStats::*rejects);
-  /// Raise an accepted unsigned write's version above the stored
-  /// record's (writers stamp from independent counters; an overwrite the
-  /// owner accepted must dominate the previous writer's stamp on every
-  /// replica too).  Signed records are never restamped — that would
-  /// break the signature; their same-owner writes already share one
-  /// clock-derived stamp sequence.
-  void bump_version(const Key& key, Record& rec);
   /// The full record wire image behind an op byte (shared by put/create
   /// requests, replication fan-out, ring-shift and departure handoff).
   std::vector<std::uint8_t> encode_record(Op op, const Key& key,
@@ -240,7 +236,8 @@ class Dht {
   /// Op byte + key: the kGet / kGetLocal request.
   static std::vector<std::uint8_t> encode_lookup(Op op, const Key& key);
   /// Decode the record fields of a kPut/kCreate/kReplica payload; the
-  /// value Buffer shares `storage` (the carrying packet's bytes).
+  /// value Buffer shares `storage` (the carrying packet's bytes).  Throws
+  /// util::ParseError on a truncated or unsigned record.
   static Record decode_record(util::ByteReader& r, const util::Buffer& storage);
   /// Store (last-writer-wins on version among live records); returns the
   /// stored slot, or nullptr when a newer live record won.

@@ -38,9 +38,9 @@ class FrameSealer {
  public:
   /// Seal header bytes prepended in front of the ciphertext.
   static constexpr std::size_t kHeaderSize = 1 + 32 + 8 + 64;
-  /// flags value of a sealed frame.  Deliberately collision-free with
-  /// cleartext tunneled IPv4, whose first byte (version|IHL) is >= 0x45:
-  /// receivers sniff byte 0 to tell sealed from legacy-clear frames.
+  /// flags value of a sealed frame.  Collision-free with cleartext
+  /// tunneled IPv4, whose first byte (version|IHL) is >= 0x45, so open()
+  /// rejects a cleartext frame before any signature check.
   static constexpr std::uint8_t kSealedV1 = 0x01;
 
   struct Stats {
@@ -73,11 +73,6 @@ class FrameSealer {
   /// sub-buffer (sharing the frame's storage) or nullopt on any failure.
   /// The caller owns `frame` exclusively per buffer-ownership rule 7.
   std::optional<util::Buffer> open(util::Buffer frame, const Address& dst);
-
-  /// True when byte 0 of a tunnel payload marks a sealed frame.
-  static bool looks_sealed(std::span<const std::uint8_t> payload) {
-    return !payload.empty() && payload[0] == kSealedV1;
-  }
 
   const Stats& stats() const { return stats_; }
   const util::crypto::PublicKey& public_key() const {

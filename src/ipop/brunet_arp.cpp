@@ -46,11 +46,9 @@ void BrunetArp::register_ip(net::Ipv4Address vip) {
 
 brunet::Record BrunetArp::binding_record() const {
   const auto& addr = node_.address();
+  const auto& pk = node_.identity().keys.public_key().bytes;
   std::vector<std::uint8_t> value(addr.bytes().begin(), addr.bytes().end());
-  if (node_.has_identity()) {
-    const auto& pk = node_.identity().keys.public_key().bytes;
-    value.insert(value.end(), pk.begin(), pk.end());
-  }
+  value.insert(value.end(), pk.begin(), pk.end());
   brunet::Record rec;
   rec.value = util::Buffer::wrap(std::move(value));
   // Only a key-derived address can prove the value's address claim is
@@ -88,10 +86,9 @@ void BrunetArp::invalidate(net::Ipv4Address vip) { cache_.erase(vip); }
 
 void BrunetArp::unregister_ip(net::Ipv4Address vip) {
   std::erase(registered_, vip);
-  // With an identity, a signed release drops the binding immediately so
-  // resolvers stop routing here; otherwise the record ages out via TTL
-  // (a migrated IP re-binds with a newer version anyway).
-  if (node_.has_identity()) dht_.release(key_for(vip), nullptr);
+  // A signed release drops the binding immediately so resolvers stop
+  // routing here.
+  dht_.release(key_for(vip), nullptr);
 }
 
 void BrunetArp::reregister_tick() {
@@ -112,6 +109,14 @@ void BrunetArp::resolve(net::Ipv4Address vip, ResolveCallback cb) {
     return;
   }
   auto [it, fresh] = in_flight_.try_emplace(vip);
+  if (it->second.size() >= kMaxPending) {
+    // Every packet captured for this IP while its lookup runs waits
+    // here; past the bound, fail the excess now instead of buffering
+    // without limit.
+    ++stats_.queue_drops;
+    cb(std::nullopt);
+    return;
+  }
   it->second.push_back(std::move(cb));
   if (!fresh) return;  // lookup already running; coalesce
 
@@ -123,14 +128,10 @@ void BrunetArp::resolve(net::Ipv4Address vip, ResolveCallback cb) {
       brunet::Address::Bytes b{};
       std::copy(bytes.begin(), bytes.begin() + brunet::Address::kBytes,
                 b.begin());
-      ArpBinding binding{brunet::Address(b), {}, false};
       // The owner key is the authoritative encryption key: the storing
       // node verified the record signature against it.  (The copy in the
-      // value bytes is advisory — present even on unsigned records.)
-      if (rec->is_signed()) {
-        binding.key = rec->owner;
-        binding.has_key = true;
-      }
+      // value bytes is advisory.)
+      const ArpBinding binding{brunet::Address(b), rec->owner};
       cache_[vip] = CacheEntry{binding,
                                node_.host().loop().now() + cfg_.cache_ttl};
       result = binding;

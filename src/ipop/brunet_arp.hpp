@@ -36,21 +36,26 @@ struct BrunetArpStats {
   /// the connection-lost observer fires before the TTL would age them
   /// out, so traffic re-resolves instead of black-holing).
   std::uint64_t invalidations = 0;
+  /// resolve() calls failed at once because kMaxPending packets already
+  /// waited on the same IP's lookup.
+  std::uint64_t queue_drops = 0;
 };
 
-/// A resolved IP -> node binding.  Records written by identity-bearing
-/// nodes carry the owner's public key, so resolving an IP also yields
-/// the key to encrypt tunneled payloads to (how FrameSealer learns its
-/// peer keys — no extra key-exchange round trip).
+/// A resolved IP -> node binding.  Every binding record is signed, so
+/// resolving an IP also yields the owner's public key to encrypt tunneled
+/// payloads to (how FrameSealer learns its peer keys — no extra
+/// key-exchange round trip).
 struct ArpBinding {
   brunet::Address addr;
   util::crypto::PublicKey key{};
-  bool has_key = false;
 };
 
 class BrunetArp {
  public:
   using ResolveCallback = std::function<void(std::optional<ArpBinding>)>;
+  /// Most resolve() callbacks one IP's in-flight lookup holds; the excess
+  /// completes at once with nullopt.
+  static constexpr std::size_t kMaxPending = 64;
 
   BrunetArp(brunet::BrunetNode& node, brunet::Dht& dht,
             BrunetArpConfig cfg = {});
@@ -61,7 +66,8 @@ class BrunetArp {
   void register_ip(net::Ipv4Address vip);
   void unregister_ip(net::Ipv4Address vip);
 
-  /// Resolve a virtual IP to an overlay address (cache, then DHT).
+  /// Resolve a virtual IP to an overlay address (cache, then DHT).  Calls
+  /// for an IP whose lookup is running wait on it, up to kMaxPending.
   void resolve(net::Ipv4Address vip, ResolveCallback cb);
   /// Drop a cached binding (e.g. after delivery failure).
   void invalidate(net::Ipv4Address vip);
@@ -82,8 +88,8 @@ class BrunetArp {
 
   void do_register(net::Ipv4Address vip, int retries_left);
   void reregister_tick();
-  /// Binding record value: this node's overlay address (plus public key
-  /// with an identity), kKeyBound when the address is key-derived.
+  /// Binding record value: this node's overlay address and public key,
+  /// kKeyBound when the address is key-derived.
   brunet::Record binding_record() const;
 
   brunet::BrunetNode& node_;

@@ -35,11 +35,9 @@ brunet::Address DhcpClient::key_for(net::Ipv4Address ip) {
 
 std::vector<std::uint8_t> DhcpClient::lease_value() const {
   const auto& b = node_.address().bytes();
+  const auto& pk = node_.identity().keys.public_key().bytes;
   std::vector<std::uint8_t> v(b.begin(), b.end());
-  if (node_.has_identity()) {
-    const auto& pk = node_.identity().keys.public_key().bytes;
-    v.insert(v.end(), pk.begin(), pk.end());
-  }
+  v.insert(v.end(), pk.begin(), pk.end());
   return v;
 }
 
@@ -225,10 +223,9 @@ void DhcpClient::renew_tick(std::uint64_t epoch) {
 
 void DhcpClient::release() {
   // A signed release hands the IP back to the pool immediately instead
-  // of waiting out the record TTL (only possible with an identity; an
-  // unsigned release would be a hijack primitive, so the DHT refuses
-  // it).  Best-effort: if the release is lost the TTL still reclaims.
-  if (lease_.has_value() && node_.has_identity()) {
+  // of waiting out the record TTL.  Best-effort: if the release is lost
+  // the TTL still reclaims.
+  if (lease_.has_value()) {
     dht_.release(key_for(*lease_), nullptr);
   }
   // Invalidate every continuation of the current acquire/renew chain —

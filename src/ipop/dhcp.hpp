@@ -79,9 +79,9 @@ class DhcpClient {
   void lease_acquired(std::uint64_t epoch, net::Ipv4Address ip,
                       AcquireCallback cb);
   void renew_tick(std::uint64_t epoch);
-  /// Lease record value: this node's overlay address, plus its public
-  /// key when it has an identity — resolvers reading the lease learn the
-  /// encryption key along with the address.
+  /// Lease record value: this node's overlay address and public key —
+  /// resolvers reading the lease learn the encryption key along with the
+  /// address.
   std::vector<std::uint8_t> lease_value() const;
   /// The lease as a typed DHT record (kKeyBound when the node's address
   /// is key-derived, so only this node's key can claim it).

@@ -277,8 +277,7 @@ void IpopNode::tunnel(net::Ipv4Address dst_ip, util::Buffer ip_bytes) {
           ++metrics_.dropped_unresolved;
           return;
         }
-        send_to(binding->addr, binding->has_key ? &binding->key : nullptr,
-                std::move(ip_bytes));
+        send_to(binding->addr, &binding->key, std::move(ip_bytes));
       });
 }
 
@@ -291,7 +290,10 @@ void IpopNode::on_tunnel_packet(const brunet::Packet& pkt) {
   // only the injection latency remains.  Unwrapping the tunneled IP packet
   // is a sub-buffer share, not a copy.
   auto bytes = pkt.share_payload();
-  if (brunet::FrameSealer::looks_sealed(bytes.as_span())) {
+  // Brunet-ARP mode accepts only sealed frames (a cleartext one fails
+  // open()); the classic SHA1(IP) mode has no peer keys and is the only
+  // cleartext mode.
+  if (brunet_arp_ != nullptr) {
     // Buffer-ownership rule 7: once routing delivered the packet here the
     // payload bytes are exclusively ours, so the in-place decrypt through
     // this shared-refcount handle is sanctioned.

@@ -69,13 +69,14 @@ struct IpopMetrics {
   std::uint64_t dropped_parse = 0;
   std::uint64_t dropped_unresolved = 0;
   std::uint64_t dropped_not_ours = 0;
-  /// Tunnel payloads encrypted + signed before leaving, vs. sent in the
-  /// clear (no peer key known: the classic SHA1(IP) mapping, or a legacy
-  /// unsigned binding).
+  /// Tunnel payloads encrypted + signed before leaving (Brunet-ARP mode),
+  /// vs. sent in the clear (the classic SHA1(IP) mapping, which has no
+  /// peer keys).
   std::uint64_t packets_sealed = 0;
   std::uint64_t packets_clear = 0;
-  /// Inbound sealed frames FrameSealer::open refused (bad signature,
-  /// frame bound to another destination, truncated header).
+  /// Inbound frames FrameSealer::open refused in Brunet-ARP mode (bad
+  /// signature, frame bound to another destination, truncated header,
+  /// or a cleartext frame).
   std::uint64_t dropped_seal_reject = 0;
 };
 

@@ -59,12 +59,6 @@ struct PublicKey {
   std::array<std::uint8_t, 32> bytes{};
 
   bool operator==(const PublicKey&) const = default;
-  /// All-zero key = "no key"; used by unsigned legacy records.
-  bool empty() const {
-    for (const auto b : bytes)
-      if (b != 0) return false;
-    return true;
-  }
 };
 
 /// 64-byte Ed25519 signature (R || S).

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "brunet/dht.hpp"
@@ -953,12 +954,14 @@ TEST(NatTraversalSymmetric, SymmetricPairFallsBackToRelay) {
 
 // --- DHT ------------------------------------------------------------------------
 
+/// Key-addressed overlay: a Dht needs a node identity to sign with.
 struct DhtFixture : ::testing::Test {
   OverlayFixture f;
   std::vector<std::unique_ptr<Dht>> dhts;
 
   void SetUp() override {
-    f.build(8, TransportAddress::Proto::kUdp);
+    f.build(8, TransportAddress::Proto::kUdp, /*seed=*/77,
+            /*key_addressed=*/true);
     f.start_all();
     ASSERT_TRUE(f.converge());
     for (auto& n : f.nodes) {
@@ -973,6 +976,14 @@ std::optional<std::vector<std::uint8_t>> record_value(
     const std::optional<Record>& rec) {
   if (!rec) return std::nullopt;
   return rec->value.to_vector();
+}
+
+TEST(DhtIdentity, NodeWithoutIdentityIsRejected) {
+  // Every record is signed with the node's keys: there is no unsigned
+  // mode to fall back to.
+  OverlayFixture f;
+  f.build(1, TransportAddress::Proto::kUdp);
+  EXPECT_THROW({ Dht dht(*f.nodes[0]); }, std::invalid_argument);
 }
 
 TEST_F(DhtFixture, PutThenGetFromAnyNode) {
@@ -1006,7 +1017,9 @@ TEST_F(DhtFixture, OverwriteKeepsNewestValue) {
   const auto key = Address::hash("versioned");
   dhts[1]->put(key, {1}, [](bool) {});
   f.net.loop().run_until(f.net.loop().now() + seconds(2));
-  dhts[2]->put(key, {2}, [](bool) {});
+  // The same writer: a live record only yields to its owner (see
+  // SignedDhtFixture.ForeignPutCannotOverwriteSignedRecord).
+  dhts[1]->put(key, {2}, [](bool) {});
   f.net.loop().run_until(f.net.loop().now() + seconds(2));
   std::optional<std::vector<std::uint8_t>> got;
   dhts[4]->get(key, [&](auto v) { got = record_value(std::move(v)); });
@@ -1085,7 +1098,8 @@ TEST_F(DhtFixture, CreateSucceedsAfterRecordExpires) {
   // A fresh overlay with a tiny record TTL: an abandoned claim must leak
   // back to the pool once it expires.
   OverlayFixture g;
-  g.build(4, TransportAddress::Proto::kUdp, /*seed=*/911);
+  g.build(4, TransportAddress::Proto::kUdp, /*seed=*/911,
+          /*key_addressed=*/true);
   g.start_all();
   ASSERT_TRUE(g.converge());
   DhtConfig dcfg;
@@ -1189,7 +1203,8 @@ TEST(FrameSealerTest, SealOpenRoundTripsInPlaceWithZeroCopies) {
   EXPECT_EQ(alice.stats().sealed, 1u);
   EXPECT_EQ(alice.stats().payload_bytes_copied, 0u)
       << "seal with headroom available must not move payload bytes";
-  EXPECT_TRUE(FrameSealer::looks_sealed(sealed.as_span()));
+  ASSERT_FALSE(sealed.empty());
+  EXPECT_EQ(sealed[0], FrameSealer::kSealedV1);
   // The header landed in the headroom; the (now encrypted) payload bytes
   // did not move.
   EXPECT_EQ(sealed.data() + FrameSealer::kHeaderSize, bytes_before);
@@ -1262,7 +1277,8 @@ TEST(FrameSealerTest, SealWithoutHeadroomCountsTheCopy) {
   // visible in the zero-copy counter (what the bench gate pins at 0).
   auto sealed = alice.seal(util::Buffer::copy_of(plain, /*headroom=*/0),
                            b.public_key(), dst, util::kPacketHeadroom);
-  EXPECT_TRUE(FrameSealer::looks_sealed(sealed.as_span()));
+  ASSERT_FALSE(sealed.empty());
+  EXPECT_EQ(sealed[0], FrameSealer::kSealedV1);
   EXPECT_EQ(alice.stats().payload_bytes_copied, plain.size());
   FrameSealer bob(b);
   auto opened = bob.open(std::move(sealed), dst);
@@ -1452,7 +1468,9 @@ struct FanoutSendFixture
   OverlayFixture f;
 
   void SetUp() override {
-    f.build(5, GetParam());
+    // Key-addressed so DhtReplicationCopiesNoPayloadBytes can put a Dht
+    // on every node.
+    f.build(5, GetParam(), /*seed=*/77, /*key_addressed=*/true);
     f.start_all();
     ASSERT_TRUE(f.converge());
   }

@@ -257,6 +257,26 @@ TEST_F(IpopLanFixture, BrunetArpResolvesAndCaches) {
   EXPECT_GE(stats.cache_hits, 3u);  // later pings hit the cache
 }
 
+TEST_F(IpopLanFixture, BrunetArpBoundsPacketsWaitingOnOneLookup) {
+  build(2, /*brunet_arp=*/true);
+  ASSERT_TRUE(converge());
+  net.loop().run_until(net.loop().now() + seconds(5));
+  // No node routes for this IP, so its lookup misses and retries for
+  // seconds; every packet captured meanwhile waits on that one lookup.
+  const auto nowhere = vip(9);
+  for (std::uint16_t seq = 0; seq < 100; ++seq) {
+    hosts[0]->stack().send_echo_request(nowhere, 1, seq);
+  }
+  net.loop().run_until(net.loop().now() + milliseconds(200));
+  const auto& m = nodes[0]->metrics();
+  const std::uint64_t excess = 100 - BrunetArp::kMaxPending;
+  EXPECT_EQ(m.dropped_unresolved, excess)
+      << "packets past the per-IP bound must fail at once, not queue";
+  EXPECT_EQ(nodes[0]->brunet_arp()->stats().queue_drops, excess);
+  net.loop().run_until(net.loop().now() + seconds(10));
+  EXPECT_EQ(m.dropped_unresolved, 100u);
+}
+
 TEST_F(IpopLanFixture, RouteForExtraIpAndMigrate) {
   build(3, /*brunet_arp=*/true);
   ASSERT_TRUE(converge());
@@ -455,9 +475,12 @@ struct DhcpLanFixture : ::testing::Test {
   net::Network net{93};
   std::vector<net::Host*> hosts;
   std::vector<std::unique_ptr<IpopNode>> nodes;
+  sim::Switch* lan_switch = nullptr;
+  std::unique_ptr<brunet::BrunetNode> outsider;
 
   void build(int n, DhcpConfig dcfg = {}, bool autostart = true) {
     auto& sw = net.add_switch("sw");
+    lan_switch = &sw;
     sim::LinkConfig lan;
     lan.delay = util::microseconds(100);
     for (int i = 0; i < n; ++i) {
@@ -490,6 +513,25 @@ struct DhcpLanFixture : ::testing::Test {
     }
     nodes.push_back(std::move(node));
     return *nodes.back();
+  }
+
+  /// A bare overlay node on the same LAN and ring: it has no identity, so
+  /// it can neither sign a DHT record nor seal a tunnel frame.
+  brunet::BrunetNode& add_outsider() {
+    auto& h = net.add_host("outsider");
+    sim::LinkConfig lan;
+    lan.delay = util::microseconds(100);
+    net.connect_to_switch(h.stack(), {"eth0", ip("10.0.0.200"), 24},
+                          *lan_switch, lan);
+    util::Rng rng(4242);
+    brunet::NodeConfig cfg;
+    cfg.near_per_side = 3;
+    outsider = std::make_unique<brunet::BrunetNode>(
+        h, brunet::Address::random(rng), cfg);
+    outsider->add_seed({brunet::TransportAddress::Proto::kUdp,
+                        net::Ipv4Address(10, 0, 0, 1), 17001});
+    outsider->start();
+    return *outsider;
   }
 
   bool all_configured(util::Duration budget = seconds(120)) {
@@ -581,6 +623,115 @@ TEST_F(DhcpLanFixture, TunnelPayloadsAreSealedEndToEndZeroCopy) {
   // The zero-copy contract on the secured hot path: encrypt-in-place plus
   // header-into-headroom means not one payload byte moved.
   EXPECT_EQ(copied, 0u) << "sealing copied payload bytes";
+}
+
+/// A kPut/kCreate/kReplica request carrying an unsigned record (flags 0)
+/// that binds `key` to `bound`: the forgery an identity-less node can
+/// write.  Op bytes as Dht encodes them.
+std::vector<std::uint8_t> unsigned_write(std::uint8_t op,
+                                         const brunet::Address& key,
+                                         const brunet::Address& bound) {
+  util::ByteWriter w;
+  w.u8(op);
+  w.bytes(key.bytes());
+  w.u64(1);  // version
+  w.u32(0);  // ttl: the storing node's default
+  w.u8(0);   // flags: no kSigned, so no owner or signature follows
+  w.lp_bytes(bound.bytes());
+  return w.take();
+}
+
+TEST_F(DhcpLanFixture, UnsignedDhtWritesAreNeitherAcknowledgedNorStored) {
+  build(3);
+  ASSERT_TRUE(all_configured());
+  auto& forger = add_outsider();
+  // Every storing node is past Dht::kMinOwnerAge, so a write on a free
+  // key is decided at once, and the forger has joined the ring.
+  net.loop().run_until(net.loop().now() + seconds(10));
+  ASSERT_GT(forger.table().size(), 0u);
+
+  // Three unregistered IPs whose Brunet-ARP key an IpopNode stores (a
+  // key the forger is closest to would never reach a Dht).
+  std::vector<net::Ipv4Address> vips;
+  for (std::uint8_t last = 1; vips.size() < 3; ++last) {
+    const net::Ipv4Address cand(172, 16, 200, last);
+    const auto key = BrunetArp::key_for(cand);
+    bool honest_owner = false;
+    for (auto& nd : nodes) {
+      if (brunet::Address::closer(key, nd->overlay().address(), forger.address())) {
+        honest_owner = true;
+      }
+    }
+    if (honest_owner) vips.push_back(cand);
+  }
+
+  constexpr std::uint8_t kPut = 0, kReplica = 2, kCreate = 3;
+  auto acked = [](bool& ok) {
+    return [&ok](std::optional<brunet::Packet> resp) {
+      ok = resp && !resp->payload().empty() && resp->payload()[0] == 1;
+    };
+  };
+  bool put_acked = false, create_acked = false;
+  forger.request(BrunetArp::key_for(vips[0]), brunet::PacketType::kDhtRequest,
+                 brunet::RoutingMode::kClosest,
+                 unsigned_write(kPut, BrunetArp::key_for(vips[0]),
+                                forger.address()),
+                 acked(put_acked));
+  forger.request(BrunetArp::key_for(vips[1]), brunet::PacketType::kDhtRequest,
+                 brunet::RoutingMode::kClosest,
+                 unsigned_write(kCreate, BrunetArp::key_for(vips[1]),
+                                forger.address()),
+                 acked(create_acked));
+  forger.send(BrunetArp::key_for(vips[2]), brunet::PacketType::kDhtRequest,
+              util::Buffer::wrap(unsigned_write(
+                  kReplica, BrunetArp::key_for(vips[2]), forger.address())),
+              brunet::RoutingMode::kClosest);
+  net.loop().run_until(net.loop().now() + seconds(10));
+  EXPECT_FALSE(put_acked) << "an unsigned put was accepted";
+  EXPECT_FALSE(create_acked) << "an unsigned create was accepted";
+
+  // The hijack the unsigned put attempts: the victim's traffic resolving
+  // to the forger.
+  bool resolved = false;
+  std::optional<ArpBinding> binding;
+  nodes[0]->brunet_arp()->resolve(vips[0], [&](auto b) {
+    binding = b;
+    resolved = true;
+  });
+  std::optional<brunet::Record> created, replicated;
+  nodes[1]->dht().get(BrunetArp::key_for(vips[1]),
+                      [&](auto r) { created = std::move(r); });
+  nodes[2]->dht().get(BrunetArp::key_for(vips[2]),
+                      [&](auto r) { replicated = std::move(r); });
+  net.loop().run_until(net.loop().now() + seconds(10));
+  ASSERT_TRUE(resolved);
+  EXPECT_FALSE(binding.has_value()) << "resolved to the forger's address";
+  EXPECT_FALSE(created.has_value()) << "an unsigned create was stored";
+  EXPECT_FALSE(replicated.has_value()) << "an unsigned replica was stored";
+}
+
+TEST_F(DhcpLanFixture, CleartextTunnelFrameIsNotInjected) {
+  build(2);
+  ASSERT_TRUE(all_configured());
+  auto& sender = add_outsider();
+  net.loop().run_until(net.loop().now() + seconds(5));
+  ASSERT_GT(sender.table().size(), 0u);
+  // A well-formed IPv4 datagram for the target's virtual IP, tunneled
+  // without a seal.
+  auto& target = *nodes[0];
+  net::Ipv4Packet datagram;
+  datagram.hdr.src = ip("172.16.200.1");
+  datagram.hdr.dst = target.virtual_ip();
+  datagram.payload = util::Buffer::copy_of(std::vector<std::uint8_t>(8, 0),
+                                           util::kPacketHeadroom);
+  const auto injected = target.metrics().packets_injected;
+  const auto rejected = target.metrics().dropped_seal_reject;
+  sender.send(target.overlay().address(), brunet::PacketType::kIpTunnel,
+              datagram.take_wire());
+  net.loop().run_until(net.loop().now() + seconds(2));
+  EXPECT_EQ(target.metrics().packets_injected, injected)
+      << "a cleartext frame reached the tap of a Brunet-ARP node";
+  EXPECT_EQ(target.metrics().dropped_seal_reject, rejected + 1);
 }
 
 TEST_F(DhcpLanFixture, LeasesRenewOnTimer) {
