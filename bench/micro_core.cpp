@@ -96,7 +96,7 @@ void BM_ForwardHopCopy(benchmark::State& state) {
   const auto wire_bytes = make_wire(payload_size).to_vector();
   for (auto _ : state) {
     brunet::Packet pkt =
-        brunet::Packet::decode(std::span<const std::uint8_t>(wire_bytes));
+        brunet::Packet::decode(util::Buffer::copy_of(wire_bytes));
     ++pkt.hops;
     auto out = pkt.take_wire();
     benchmark::DoNotOptimize(out.data());

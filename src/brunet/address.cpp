@@ -109,14 +109,6 @@ Address Address::random(util::Rng& rng) {
   return Address(b);
 }
 
-Address Address::from_hex(std::string_view hex) {
-  auto raw = util::from_hex(hex);
-  if (raw.size() != kBytes) throw util::ParseError("address must be 40 hex");
-  Bytes b;
-  std::copy(raw.begin(), raw.end(), b.begin());
-  return Address(b);
-}
-
 std::string Address::to_hex() const {
   return util::to_hex(std::span<const std::uint8_t>(bytes_.data(), kBytes));
 }
@@ -133,16 +125,6 @@ bool Address::closer(const Address& target, const Address& x,
                      const Address& y) {
   const Words t = load(target.bytes_);
   return ring(t, load(x.bytes_)) < ring(t, load(y.bytes_));
-}
-
-bool Address::in_range_right(const Address& a, const Address& x,
-                             const Address& b) {
-  // x in (a, b] clockwise  <=>  dist(a->x) != 0 and dist(a->x) <= dist(a->b).
-  const Words wa = load(a.bytes_);
-  const Words ax = sub(load(x.bytes_), wa);
-  const Words ab = sub(load(b.bytes_), wa);
-  if (ax == Words{}) return false;
-  return ax <= ab;
 }
 
 Address Address::offset_by_pow2(int bit) const {

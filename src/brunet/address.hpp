@@ -37,8 +37,6 @@ class Address {
   /// holder of the matching private key can sign for this ring position.
   static Address from_public_key(const util::crypto::PublicKey& pk);
   static Address random(util::Rng& rng);
-  /// Parse 40 hex chars.
-  static Address from_hex(std::string_view hex);
 
   const Bytes& bytes() const { return bytes_; }
   std::string to_hex() const;
@@ -53,9 +51,6 @@ class Address {
   /// True if `x` is closer to `target` on the ring than `y` is.
   static bool closer(const Address& target, const Address& x,
                      const Address& y);
-  /// True if x lies in the clockwise half-open interval (a, b].
-  static bool in_range_right(const Address& a, const Address& x,
-                             const Address& b);
 
   /// Address at (this + 2^bit) mod 2^160; used to aim Kleinberg shortcuts.
   Address offset_by_pow2(int bit) const;

@@ -247,10 +247,8 @@ Record Dht::decode_record(util::ByteReader& r, const util::Buffer& storage) {
   // An unsigned record has no owner to hold the key against, so it is
   // malformed rather than a second trust mode.
   if (!rec.is_signed()) throw util::ParseError("unsigned DHT record");
-  const auto pk = r.bytes(rec.owner.bytes.size());
-  std::copy(pk.begin(), pk.end(), rec.owner.bytes.begin());
-  const auto sg = r.bytes(rec.sig.bytes.size());
-  std::copy(sg.begin(), sg.end(), rec.sig.bytes.begin());
+  rec.owner.bytes = r.array<32>();
+  rec.sig.bytes = r.array<64>();
   const std::uint32_t len = r.u32();
   // `storage` backs exactly the span the reader walks, so the value is a
   // sub-buffer of the carrying packet: zero-copy decode, and the record
@@ -293,10 +291,7 @@ void Dht::handle_request(const Packet& pkt) {
   util::ByteReader r(pkt.payload());
   try {
     op = static_cast<Op>(r.u8());
-    Address::Bytes kb{};
-    auto raw = r.bytes(Address::kBytes);
-    std::copy(raw.begin(), raw.end(), kb.begin());
-    key = Address(kb);
+    key = Address(r.array<Address::kBytes>());
 
     switch (op) {
       case Op::kPut: {

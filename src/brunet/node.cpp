@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "brunet/relay_edge.hpp"
 #include "util/logging.hpp"
 
 namespace ipop::brunet {
@@ -10,9 +9,6 @@ namespace ipop::brunet {
 namespace {
 /// A request with no response by then completes with std::nullopt.
 constexpr Duration kRequestTimeout = util::seconds(3);
-/// Dial rounds per link attempt, and the pause between rounds.
-constexpr int kLinkAttempts = 6;
-constexpr Duration kLinkRetry = util::milliseconds(400);
 
 bool is_edge_local(PacketType t) {
   return static_cast<std::uint8_t>(t) < 10;
@@ -39,61 +35,7 @@ std::vector<std::uint8_t> departure_signed_bytes(
   msg.insert(msg.end(), body.begin(), body.end());
   return msg;
 }
-/// A live edge that is not itself a relay tunnel.  Relays are picked
-/// from, and forward over, direct edges only: that keeps tunnels one
-/// layer deep (no wrap-in-wrap recursion between mutually relaying nodes).
-bool is_direct(const std::shared_ptr<Edge>& e) {
-  return e != nullptr && e->is_up() &&
-         e->remote().proto != TransportAddress::Proto::kRelay;
-}
 }  // namespace
-
-const char* nat_class_name(NatClass c) {
-  switch (c) {
-    case NatClass::kUnknown: return "unknown";
-    case NatClass::kOpen: return "open";
-    case NatClass::kCone: return "cone";
-    case NatClass::kSymmetric: return "symmetric";
-  }
-  return "?";
-}
-
-void NodeInfo::encode(util::ByteWriter& w) const {
-  w.bytes(std::span<const std::uint8_t>(addr.bytes().data(), Address::kBytes));
-  w.u8(static_cast<std::uint8_t>(std::min<std::size_t>(addrs.size(), 8)));
-  for (std::size_t i = 0; i < addrs.size() && i < 8; ++i) {
-    addrs[i].encode(w);
-  }
-}
-
-NodeInfo NodeInfo::decode(util::ByteReader& r) {
-  NodeInfo info;
-  Address::Bytes b{};
-  auto raw = r.bytes(Address::kBytes);
-  std::copy(raw.begin(), raw.end(), b.begin());
-  info.addr = Address(b);
-  const std::uint8_t n = r.u8();
-  for (std::uint8_t i = 0; i < n; ++i) {
-    info.addrs.push_back(TransportAddress::decode(r));
-  }
-  return info;
-}
-
-std::size_t encode_node_infos(util::ByteWriter& w,
-                              std::span<const NodeInfo> infos) {
-  const std::size_t n = std::min<std::size_t>(infos.size(), 255);
-  w.u8(static_cast<std::uint8_t>(n));
-  for (std::size_t i = 0; i < n; ++i) infos[i].encode(w);
-  return n;
-}
-
-std::vector<NodeInfo> decode_node_infos(util::ByteReader& r) {
-  const std::uint8_t n = r.u8();
-  std::vector<NodeInfo> infos;
-  infos.reserve(n);
-  for (std::uint8_t i = 0; i < n; ++i) infos.push_back(NodeInfo::decode(r));
-  return infos;
-}
 
 BrunetNode::BrunetNode(net::Host& host, Address addr, NodeConfig cfg)
     : host_(host), addr_(addr), cfg_(cfg), table_(addr) {}
@@ -115,9 +57,9 @@ void BrunetNode::start() {
   started_ = true;
   started_at_ = host_.loop().now();
   if (cfg_.transport == TransportAddress::Proto::kTcp) {
-    ensure_tcp();
+    ensure(tcp_);
   } else {
-    ensure_udp();
+    ensure(udp_);
   }
   maintenance_tick();
 }
@@ -135,11 +77,8 @@ void BrunetNode::leave() {
   // identity and neighbor list, so the two sides of the ring gap can link
   // to each other immediately instead of waiting for keepalive misses and
   // stabilization to rediscover the neighborhood.
-  Packet notice;
-  notice.type = PacketType::kDeparting;
-  notice.src = addr_;
   util::ByteWriter w;
-  NodeInfo{addr_, local_addresses()}.encode(w);
+  self_info().encode(w);
   encode_node_infos(w, neighbor_infos(cfg_.near_per_side));
   auto body = w.take();
   // A key-addressed node signs the notice over (address || body), so a
@@ -153,9 +92,7 @@ void BrunetNode::leave() {
     body.insert(body.end(), pk.begin(), pk.end());
     body.insert(body.end(), sig.bytes.begin(), sig.bytes.end());
   }
-  notice.set_payload(std::move(body));
-  const auto wire = notice.to_wire(send_headroom_);
-  table_.for_each([&](const Connection& c) { c.edge->send(wire); });
+  send_to_all(PacketType::kDeparting, std::move(body));
   stop();
 }
 
@@ -192,17 +129,12 @@ void BrunetNode::stop() {
     if (pr.timer != 0) loop.cancel(pr.timer);
   }
   pending_requests_.clear();
-  for (auto& [addr, attempt] : linking_) {
-    if (attempt.timer != 0) loop.cancel(attempt.timer);
-  }
-  linking_.clear();
+  linker_.stop();
   // Close all edges (copy: close mutates the table via callbacks).
   std::vector<std::shared_ptr<Edge>> edges;
   edges.reserve(edges_.size());
   for (auto& [ptr, e] : edges_) edges.push_back(e);
   edges_.clear();
-  relay_edges_.clear();
-  relay_via_activity_.clear();
   for (auto& e : edges) {
     if (e) e->close();
   }
@@ -215,52 +147,19 @@ void BrunetNode::stop() {
   tcp_.reset();
 }
 
-void BrunetNode::record_observed(const TransportAddress& ta) {
-  // A relay tunnel's pseudo-endpoint says nothing about our NAT and must
-  // never be advertised as dialable.
-  if (ta.proto == TransportAddress::Proto::kRelay) return;
-  if (host_.stack().is_local_ip(ta.ip)) {
-    // Peers see our packets untranslated: no NAT in front of us (at
-    // least toward them).
-    if (nat_class_ == NatClass::kUnknown) nat_class_ = NatClass::kOpen;
-    return;
-  }
-  // A symmetric NAT mints a fresh mapping per peer, so its observed set
-  // would grow with the peer count; eight entries are plenty for both
-  // the classification (two suffice) and the gossip clamp.
-  if (observed_.size() >= 8) return;
-  if (!observed_.insert(ta).second) return;
-  // Self-classification (decentralized STUN): one stable external
-  // mapping per protocol reads as cone; two distinct external ports on
-  // the same external IP and protocol mean per-destination mappings —
-  // symmetric.  Symmetric is sticky (extra cone-looking observations
-  // never downgrade it).
-  std::size_t same_proto_ip = 0;
-  for (const auto& o : observed_) {
-    if (o.proto == ta.proto && o.ip == ta.ip) ++same_proto_ip;
-  }
-  if (same_proto_ip >= 2) {
-    nat_class_ = NatClass::kSymmetric;
-  } else if (nat_class_ != NatClass::kSymmetric) {
-    nat_class_ = NatClass::kCone;
-  }
-  IPOP_LOG_DEBUG(addr_.short_hex() << ": learned translated address "
-                                   << ta.to_string() << " (nat: "
-                                   << nat_class_name(nat_class_) << ")");
-  // Our advertised endpoints changed: refresh every peer's view so gossip
-  // carries the dialable (translated) endpoint, not just the private one.
-  broadcast_identity();
+void BrunetNode::broadcast_identity() {
+  util::ByteWriter w;
+  self_info().encode(w);
+  send_to_all(PacketType::kEdgePing, w.take());
 }
 
-void BrunetNode::broadcast_identity() {
-  Packet ping;
-  ping.type = PacketType::kEdgePing;
-  ping.src = addr_;
-  util::ByteWriter w;
-  NodeInfo{addr_, local_addresses()}.encode(w);
-  ping.set_payload(w.take());
+void BrunetNode::send_to_all(PacketType type, std::vector<std::uint8_t> body) {
+  Packet pkt;
+  pkt.type = type;
+  pkt.src = addr_;
+  pkt.set_payload(std::move(body));
   // One wire buffer, shared by every edge's send.
-  const auto wire = ping.to_wire(send_headroom_);
+  const auto wire = pkt.to_wire(send_headroom_);
   table_.for_each([&](const Connection& c) { c.edge->send(wire); });
 }
 
@@ -275,31 +174,19 @@ std::vector<TransportAddress> BrunetNode::local_addresses() const {
     // Advertise every protocol we can accept on — the native transport
     // first, so same-protocol dialing stays preferred — letting
     // mixed-transport peers fall back to whichever we share.
-    if (cfg_.transport == TransportAddress::Proto::kTcp) {
-      if (tcp_ != nullptr) out.push_back({TransportAddress::Proto::kTcp, ip,
-                                          cfg_.port});
-      if (udp_ != nullptr) out.push_back({TransportAddress::Proto::kUdp, ip,
-                                          cfg_.port});
-    } else {
-      if (udp_ != nullptr) out.push_back({TransportAddress::Proto::kUdp, ip,
-                                          cfg_.port});
-      if (tcp_ != nullptr) out.push_back({TransportAddress::Proto::kTcp, ip,
-                                          cfg_.port});
+    using P = TransportAddress::Proto;
+    for (const P p : {cfg_.transport,
+                      cfg_.transport == P::kTcp ? P::kUdp : P::kTcp}) {
+      if (p == P::kTcp ? tcp_ != nullptr : udp_ != nullptr) {
+        out.push_back({p, ip, cfg_.port});
+      }
     }
   }
-  for (const auto& obs : observed_) {
-    if (std::find(out.begin(), out.end(), obs) == out.end()) {
-      out.push_back(obs);
-    }
+  for (const auto& obs : linker_.observed()) {
+    if (std::ranges::find(out, obs) == out.end()) out.push_back(obs);
   }
   if (out.size() > 8) out.resize(8);
   return out;
-}
-
-std::optional<Address> BrunetNode::right_neighbor() const {
-  const Connection* c = table_.right_neighbor();
-  if (c == nullptr) return std::nullopt;
-  return c->addr;
 }
 
 // ---------------------------------------------------------------------------
@@ -367,16 +254,19 @@ void BrunetNode::process_packet(const std::shared_ptr<Edge>& edge,
         handle_edge_ping(edge, pkt);
         break;
       case PacketType::kEdgePong:
-        handle_edge_pong(edge, pkt);
+        // The peer tells us where it sees us.
+        try {
+          util::ByteReader r(pkt.payload());
+          linker_.record_observed(TransportAddress::decode(r));
+        } catch (const util::ParseError&) {
+        }
         break;
       case PacketType::kDeparting:
         handle_departing(edge, pkt);
         break;
       case PacketType::kRelayForward:
-        handle_relay_forward(edge, std::move(pkt));
-        break;
       case PacketType::kRelayDeliver:
-        handle_relay_deliver(edge, pkt);
+        linker_.handle_relay(edge, std::move(pkt));
         break;
       case PacketType::kEdgeClose:
         // The peer dropped this edge.  Evict now instead of zombie-pinging
@@ -398,28 +288,7 @@ void BrunetNode::process_packet(const std::shared_ptr<Edge>& edge,
 
 void BrunetNode::on_edge_closed(Edge* edge) {
   edges_.erase(edge);
-  relay_via_activity_.erase(edge);
-  // A tunnel is only as alive as its carrier — but a tunnel with a
-  // pre-armed backup relay swaps onto the backup's direct edge first
-  // (failover) and only dies when no backup can carry it.  Each close
-  // re-enters here for the tunnel itself, one level deep — a relay's via
-  // is always direct.
-  std::vector<std::shared_ptr<RelayEdge>> dead_tunnels;
-  for (auto it = relay_edges_.begin(); it != relay_edges_.end();) {
-    if (it->second.get() == edge) {
-      it = relay_edges_.erase(it);
-    } else if (it->second->via().get() == edge) {
-      if (failover_relay(it->second)) {
-        ++it;
-      } else {
-        dead_tunnels.push_back(it->second);
-        it = relay_edges_.erase(it);
-      }
-    } else {
-      ++it;
-    }
-  }
-  for (auto& re : dead_tunnels) re->close();
+  linker_.on_edge_closed(edge);
   if (const Connection* c = table_.find_by_edge(edge)) {
     const Address addr = c->addr;  // copy: remove() invalidates c
     IPOP_LOG_DEBUG(addr_.short_hex() << ": lost edge to " << addr.short_hex());
@@ -570,7 +439,7 @@ void BrunetNode::deliver(const Packet& pkt) {
       handle_neighbor_query(pkt);
       return;
     case PacketType::kPunchRequest:
-      handle_punch_request(pkt);
+      linker_.handle_punch_request(pkt);
       return;
     case PacketType::kPing:
       // Echo the payload back.  The response adopts the request's payload
@@ -593,7 +462,7 @@ void BrunetNode::set_handler(PacketType type, PacketHandler handler) {
 }
 
 std::uint32_t BrunetNode::expect_response(ResponseCallback cb) {
-  const std::uint32_t id = next_msg_id();
+  const std::uint32_t id = msg_id_counter_++;
   PendingRequest pr;
   pr.cb = std::move(cb);
   pr.timer = host_.loop().schedule_after(kRequestTimeout, [this, id] {
@@ -628,6 +497,13 @@ void BrunetNode::respond(const Packet& req, PacketType type,
 // Link handshake
 // ---------------------------------------------------------------------------
 
+util::ByteWriter BrunetNode::typed_self_info(ConnectionType type) const {
+  util::ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(type));
+  self_info().encode(w);
+  return w;
+}
+
 void BrunetNode::send_link(const std::shared_ptr<Edge>& edge,
                            ConnectionType type,
                            std::optional<Address> reply_to) {
@@ -635,9 +511,7 @@ void BrunetNode::send_link(const std::shared_ptr<Edge>& edge,
   pkt.type = reply_to ? PacketType::kLinkResponse : PacketType::kLinkRequest;
   pkt.src = addr_;
   if (reply_to) pkt.dst = *reply_to;
-  util::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(type));
-  NodeInfo{addr_, local_addresses()}.encode(w);
+  auto w = typed_self_info(type);
   edge->remote().encode(w);  // "this is where I believe you are"
   pkt.set_payload(w.take());
   edge->send(pkt.take_wire(send_headroom_));
@@ -657,29 +531,15 @@ void BrunetNode::handle_link(const std::shared_ptr<Edge>& edge,
   } catch (const util::ParseError&) {
     return;
   }
-  record_observed(my_observed);
-  Connection conn;
-  conn.addr = sender.addr;
-  conn.edge = edge;
-  conn.advertised = sender.addrs;
-  conn.peer_requested_near =
+  linker_.record_observed(my_observed);
+  const bool peer_requested_near =
       is_request && type == ConnectionType::kStructuredNear;
-  if (auto link = linking_.find(sender.addr); link != linking_.end()) {
-    // With a punch exchange in flight, a link that needed more than the
-    // first dial round was opened by the hole punch.  The response to
-    // our own dial answers the round that sent it, so that takes round
-    // 2; a peer's request arriving after our round 1 is the punched
-    // simultaneous open.
-    conn.punched = link->second.punch_sent &&
-                   link->second.round >= (is_request ? 1 : 2);
-    if (!is_request) type = link->second.type;
-    if (link->second.timer != 0) host_.loop().cancel(link->second.timer);
-    linking_.erase(link);
-  }
-  conn.type = type;
-  table_.add(conn);
+  const bool punched = linker_.on_link_up(sender.addr, is_request, type);
+  table_.add({.addr = sender.addr, .type = type,
+              .peer_requested_near = peer_requested_near,
+              .punched = punched, .edge = edge, .advertised = sender.addrs});
   ++stats_.edges_opened;
-  if (conn.punched) ++stats_.links_punched;
+  if (punched) ++stats_.links_punched;
   if (edge->remote().proto == TransportAddress::Proto::kRelay) {
     ++stats_.links_relayed;
   }
@@ -698,11 +558,7 @@ void BrunetNode::handle_edge_ping(const std::shared_ptr<Edge>& edge,
       NodeInfo info = NodeInfo::decode(r);
       // Refresh the peer's advertised endpoints (it may have just learned
       // its translated address).
-      Connection conn;
-      conn.addr = info.addr;
-      conn.edge = edge;
-      conn.advertised = info.addrs;
-      table_.add(conn);
+      table_.add({.addr = info.addr, .edge = edge, .advertised = info.addrs});
     } catch (const util::ParseError&) {
     }
   }
@@ -714,15 +570,6 @@ void BrunetNode::handle_edge_ping(const std::shared_ptr<Edge>& edge,
   edge->remote().encode(w);
   pong.set_payload(w.take());
   edge->send(pong.take_wire(send_headroom_));
-}
-
-void BrunetNode::handle_edge_pong(const std::shared_ptr<Edge>& /*edge*/,
-                                  const Packet& pkt) {
-  try {
-    util::ByteReader r(pkt.payload());
-    record_observed(TransportAddress::decode(r));
-  } catch (const util::ParseError&) {
-  }
 }
 
 void BrunetNode::handle_departing(const std::shared_ptr<Edge>& edge,
@@ -742,12 +589,8 @@ void BrunetNode::handle_departing(const std::shared_ptr<Edge>& edge,
     // eviction notice for any ring position with its own perfectly valid
     // key.
     if (r.remaining() == 32 + 64) {
-      util::crypto::PublicKey pk;
-      auto pk_bytes = r.bytes(32);
-      std::copy(pk_bytes.begin(), pk_bytes.end(), pk.bytes.begin());
-      util::crypto::Signature sig;
-      auto sig_bytes = r.bytes(64);
-      std::copy(sig_bytes.begin(), sig_bytes.end(), sig.bytes.begin());
+      const util::crypto::PublicKey pk{r.array<32>()};
+      const util::crypto::Signature sig{r.array<64>()};
       const auto msg = departure_signed_bytes(
           sender.addr, pkt.payload().subview(0, body_size));
       if (Address::from_public_key(pk) != sender.addr ||
@@ -778,363 +621,6 @@ void BrunetNode::handle_departing(const std::shared_ptr<Edge>& edge,
 }
 
 // ---------------------------------------------------------------------------
-// Linker (connection establishment, NAT traversal)
-// ---------------------------------------------------------------------------
-
-namespace {
-/// Merge dialable candidates into an attempt: relay pseudo-addresses are
-/// never dialable, and same-protocol endpoints are preferred — only a
-/// peer offering none falls back to its own protocol (the bootstrap
-/// cross-proto rule, now applied to every ring link).  Returns true when
-/// the merge had to fall back.
-bool merge_candidates(std::vector<TransportAddress>& into,
-                      const std::vector<TransportAddress>& candidates,
-                      TransportAddress::Proto native) {
-  bool have_native = false;
-  for (const auto& ta : candidates) {
-    if (ta.proto == native) {
-      have_native = true;
-      break;
-    }
-  }
-  for (const auto& ta : candidates) {
-    if (ta.proto == TransportAddress::Proto::kRelay) continue;
-    if (have_native && ta.proto != native) continue;
-    if (std::find(into.begin(), into.end(), ta) == into.end()) {
-      into.push_back(ta);
-    }
-  }
-  return !have_native && !candidates.empty();
-}
-}  // namespace
-
-void BrunetNode::connect_to(const Address& target,
-                            const std::vector<TransportAddress>& candidates,
-                            ConnectionType type,
-                            const std::vector<NodeInfo>& via_hints) {
-  if (!started_ || target == addr_) return;
-  if (const Connection* existing = table_.find(target)) {
-    // Already connected: upgrade the classification if needed.
-    Connection upgrade;
-    upgrade.addr = target;
-    upgrade.edge = existing->edge;
-    upgrade.type = type;
-    table_.add(upgrade);
-    return;
-  }
-  auto merge_hints = [](LinkAttempt& a, const std::vector<NodeInfo>& hints) {
-    for (const auto& h : hints) {
-      const bool known = std::any_of(
-          a.relay_candidates.begin(), a.relay_candidates.end(),
-          [&](const NodeInfo& r) { return r.addr == h.addr; });
-      if (!known) a.relay_candidates.push_back(h);
-    }
-  };
-  auto [it, inserted] = linking_.try_emplace(target);
-  if (!inserted) {
-    // Attempt already running — still fold in fresh relay hints (a
-    // re-probing joiner may have gained reachable neighbors since).
-    merge_hints(it->second, via_hints);
-    return;
-  }
-  ++stats_.links_started;
-  LinkAttempt& attempt = it->second;
-  attempt.type = type;
-  attempt.attempts_left = kLinkAttempts;
-  merge_hints(attempt, via_hints);
-  if (merge_candidates(attempt.candidates, candidates, cfg_.transport)) {
-    ++stats_.links_cross_proto;
-  }
-  if (attempt.candidates.empty()) {
-    linking_.erase(it);
-    return;
-  }
-  link_retry_tick(target);
-  // Rendezvous through the overlay: tell the target to dial us back so
-  // both NATs see outbound traffic (simultaneous open, Section III-D) —
-  // and to report its NAT class and neighbors (our relay candidates).
-  // Needs a routable table; a joining node's first links skip it.
-  if (table_.size() > 0 && linking_.find(target) != linking_.end()) {
-    send_punch_request(target);
-  }
-}
-
-void BrunetNode::link_retry_tick(Address target) {
-  auto it = linking_.find(target);
-  if (it == linking_.end() || !started_) return;
-  LinkAttempt& attempt = it->second;
-  attempt.timer = 0;
-  if (table_.contains(target)) {
-    linking_.erase(it);
-    return;
-  }
-  if (attempt.attempts_left-- <= 0) {
-    // Dialing is spent.  Before giving up, tunnel the handshake through
-    // a mutual neighbor: symmetric↔symmetric pairs can never punch, and
-    // an exhausted cone pair gets one relay try too.
-    if (!attempt.relay_tried && start_relay(target, attempt)) {
-      attempt.relay_tried = true;
-      attempt.attempts_left = 2;  // rounds for the handshake over the tunnel
-      attempt.timer = host_.loop().schedule_after(
-          kLinkRetry, [this, alive = alive_.guard(), target] {
-            if (!alive) return;
-            link_retry_tick(target);
-          });
-      return;
-    }
-    IPOP_LOG_DEBUG(addr_.short_hex() << ": link to " << target.short_hex()
-                                     << " failed (no response)");
-    ++stats_.links_failed;
-    linking_.erase(it);
-    return;
-  }
-  ++attempt.round;
-  const ConnectionType type = attempt.type;
-  for (const auto& ta : attempt.candidates) {
-    dial(ta, [this, target, type](const std::shared_ptr<Edge>& edge) {
-      // A stream dial completes later: the link may have come up over
-      // another edge meanwhile.
-      if (linking_.find(target) == linking_.end() &&
-          table_.contains(target)) {
-        edge->close();  // race: already linked elsewhere
-        return;
-      }
-      adopt_edge(edge);
-      send_link(edge, type);
-    });
-  }
-  // Per-NAT-type pacing: against a symmetric endpoint every retry lands
-  // on a fresh mapping, so rapid-fire probing burns attempts without
-  // widening coverage — stretch the interval linearly instead and give
-  // the punched dial-back time to arrive.
-  Duration delay = kLinkRetry;
-  if (nat_class_ == NatClass::kSymmetric ||
-      attempt.peer_nat == NatClass::kSymmetric) {
-    delay = kLinkRetry * attempt.round;
-  }
-  attempt.timer = host_.loop().schedule_after(
-      delay, [this, alive = alive_.guard(), target] {
-        if (!alive) return;
-        link_retry_tick(target);
-      });
-}
-
-// ---------------------------------------------------------------------------
-// NAT traversal: hole punching + relay fallback
-// ---------------------------------------------------------------------------
-
-void BrunetNode::send_punch_request(const Address& target) {
-  auto it = linking_.find(target);
-  if (it == linking_.end()) return;
-  it->second.punch_sent = true;
-  ++stats_.punch_requests_sent;
-  util::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(it->second.type));
-  w.u8(static_cast<std::uint8_t>(nat_class_));
-  NodeInfo{addr_, local_addresses()}.encode(w);
-  request(target, PacketType::kPunchRequest, RoutingMode::kExact, w.take(),
-          [this, target](std::optional<Packet> resp) {
-            on_punch_response(target, std::move(resp));
-          });
-}
-
-void BrunetNode::handle_punch_request(const Packet& pkt) {
-  ConnectionType type;
-  NatClass requester_nat;
-  NodeInfo requester;
-  try {
-    util::ByteReader r(pkt.payload());
-    type = static_cast<ConnectionType>(r.u8());
-    requester_nat = static_cast<NatClass>(r.u8());
-    requester = NodeInfo::decode(r);
-  } catch (const util::ParseError&) {
-    return;
-  }
-  ++stats_.punch_requests;
-  // Dial back: our outbound probes open our NAT toward the requester
-  // while its own probes open the reverse path — whichever direction a
-  // NAT admits first brings the edge up.  Idempotent via linking_, which
-  // also terminates the request ping-pong (our connect_to's punch
-  // request finds the requester already linking toward us).
-  connect_to(requester.addr, requester.addrs, type);
-  if (auto it = linking_.find(requester.addr); it != linking_.end()) {
-    it->second.peer_nat = requester_nat;
-  }
-  // Answer with our NAT class and neighbors: if neither side's probes
-  // land, the requester picks its relay from this set.
-  util::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(nat_class_));
-  NodeInfo{addr_, local_addresses()}.encode(w);
-  encode_node_infos(w, neighbor_infos(cfg_.near_per_side));
-  respond(pkt, PacketType::kPunchResponse, w.take());
-}
-
-void BrunetNode::on_punch_response(const Address& target,
-                                   std::optional<Packet> resp) {
-  if (!resp) return;
-  ++stats_.punch_responses;
-  NatClass peer_nat;
-  NodeInfo peer;
-  std::vector<NodeInfo> relays;
-  try {
-    util::ByteReader r(resp->payload());
-    peer_nat = static_cast<NatClass>(r.u8());
-    peer = NodeInfo::decode(r);
-    relays = decode_node_infos(r);
-  } catch (const util::ParseError&) {
-    return;
-  }
-  auto it = linking_.find(target);
-  if (it == linking_.end()) return;  // already linked (or given up)
-  LinkAttempt& attempt = it->second;
-  attempt.peer_nat = peer_nat;
-  attempt.relay_candidates = std::move(relays);
-  merge_candidates(attempt.candidates, peer.addrs, cfg_.transport);
-  if (nat_class_ == NatClass::kSymmetric &&
-      peer_nat == NatClass::kSymmetric) {
-    // Hopeless pairing: both sides mint per-destination mappings, so no
-    // advertised endpoint will ever match a probe.  Skip the remaining
-    // dial rounds and relay now.
-    if (attempt.timer != 0) {
-      host_.loop().cancel(attempt.timer);
-      attempt.timer = 0;
-    }
-    attempt.attempts_left = 0;
-    link_retry_tick(target);
-  }
-}
-
-bool BrunetNode::start_relay(const Address& target, LinkAttempt& attempt) {
-  if (auto existing = relay_edges_.find(target);
-      existing != relay_edges_.end() && existing->second->is_up()) {
-    send_link(existing->second, attempt.type);
-    return true;
-  }
-  // Pick the relay R: a node adjacent to the target (its neighbor set
-  // from the punch response) that we hold a *direct* edge to — relays
-  // only forward over non-relay edges, which bounds tunnel nesting at
-  // one layer.  Deterministic min-address pick; the runner-up is armed
-  // as the failover backup so a dying carrier swaps vias instead of
-  // re-running the linker.
-  const Connection* via = nullptr;
-  const Connection* backup = nullptr;
-  for (const auto& info : attempt.relay_candidates) {
-    if (info.addr == addr_ || info.addr == target) continue;
-    const Connection* c = table_.find(info.addr);
-    if (c == nullptr || !is_direct(c->edge)) continue;
-    if (via == nullptr || c->addr < via->addr) {
-      backup = via;
-      via = c;
-    } else if (backup == nullptr || c->addr < backup->addr) {
-      backup = c;
-    }
-  }
-  if (via == nullptr) {
-    // No punch response made it back (or no mutual neighbor): fall back
-    // to our direct connection ring-closest to the target, which on a
-    // converging ring is very likely the target's neighbor.
-    table_.for_each([&](const Connection& c) {
-      if (c.addr == target || !is_direct(c.edge)) return;
-      if (via == nullptr || Address::closer(target, c.addr, via->addr)) {
-        backup = via;
-        via = &c;
-      } else if (backup == nullptr ||
-                 Address::closer(target, c.addr, backup->addr)) {
-        backup = &c;
-      }
-    });
-  }
-  if (via == nullptr) return false;
-  IPOP_LOG_DEBUG(addr_.short_hex() << ": relaying link to "
-                                   << target.short_hex() << " via "
-                                   << via->addr.short_hex());
-  auto re = std::make_shared<RelayEdge>(addr_, target, via->addr, via->edge,
-                                        &stats_.relay_wrap_bytes_copied);
-  if (backup != nullptr) re->arm_backup(backup->addr);
-  adopt_edge(re);
-  relay_edges_[target] = re;
-  ++stats_.relay_edges;
-  send_link(re, attempt.type);
-  return true;
-}
-
-bool BrunetNode::failover_relay(const std::shared_ptr<RelayEdge>& re) {
-  const Address& backup = re->backup_relay();
-  if (backup == Address{}) return false;
-  const Connection* c = table_.find(backup);
-  if (c == nullptr || !is_direct(c->edge)) return false;
-  IPOP_LOG_DEBUG(addr_.short_hex()
-                 << ": relay to " << re->peer().short_hex()
-                 << " failing over via " << backup.short_hex());
-  re->swap_via(c->edge, c->addr);
-  ++stats_.relay_failovers;
-  return true;
-}
-
-void BrunetNode::handle_relay_forward(const std::shared_ptr<Edge>& edge,
-                                      Packet pkt) {
-  if (pkt.hops >= pkt.ttl) {
-    ++stats_.relay_drop_no_route;
-    return;
-  }
-  ++pkt.hops;
-  const Connection* c = table_.find(pkt.dst);
-  if (c == nullptr || !is_direct(c->edge)) {
-    ++stats_.relay_drop_no_route;
-    return;
-  }
-  ++stats_.relay_forwarded;
-  const auto now = host_.loop().now();
-  relay_via_activity_[edge.get()] = now;
-  relay_via_activity_[c->edge.get()] = now;
-  // The relay's forward is a one-byte type patch on the arriving wire
-  // image (plus the hop-count patch take_wire() always does): the same
-  // buffer goes out on the direct edge to the tunnel target — zero bytes
-  // copied, zero bytes allocated here.
-  auto wire = pkt.take_wire();
-  wire.patch_u8(0, static_cast<std::uint8_t>(PacketType::kRelayDeliver));
-  c->edge->send(std::move(wire));
-}
-
-void BrunetNode::handle_relay_deliver(const std::shared_ptr<Edge>& edge,
-                                      const Packet& pkt) {
-  if (pkt.dst != addr_) return;  // misdelivered wrapper
-  std::shared_ptr<RelayEdge> re;
-  if (auto it = relay_edges_.find(pkt.src);
-      it != relay_edges_.end() && it->second->is_up()) {
-    re = it->second;
-    // Opportunistic backup arming (the responder-side mirror of the
-    // initiator's link-time pick): a wrapped frame arriving over a
-    // different direct edge proves that edge's owner can also relay for
-    // this peer — e.g. after the peer failed over, its frames come
-    // through the new relay before our old carrier even times out.
-    if (edge.get() != re->via().get()) {
-      if (const Connection* rc = table_.find_by_edge(edge.get())) {
-        re->arm_backup(rc->addr);
-      }
-    }
-  } else {
-    // First wrapped frame from this tunnel peer: materialize our end of
-    // the tunnel over the edge it arrived on (the relay's direct edge to
-    // us), so the handshake — and everything after — has a real Edge to
-    // ride.
-    Address relay_addr;
-    if (const Connection* rc = table_.find_by_edge(edge.get())) {
-      relay_addr = rc->addr;
-    }
-    re = std::make_shared<RelayEdge>(addr_, pkt.src, relay_addr, edge,
-                                     &stats_.relay_wrap_bytes_copied);
-    adopt_edge(re);
-    relay_edges_[pkt.src] = re;
-    ++stats_.relay_edges;
-  }
-  // The inner frame shares the wrapper's storage: unwrapping is a
-  // 48-byte offset, not a copy — and refunds exactly the headroom the
-  // next node on a reply path would need.
-  re->deliver_inner(host_.loop().now(), pkt.share_payload());
-}
-
-// ---------------------------------------------------------------------------
 // Ring maintenance
 // ---------------------------------------------------------------------------
 
@@ -1154,7 +640,9 @@ void BrunetNode::maintenance_tick() {
     if (table_.count(ConnectionType::kStructuredNear) <
             2 * cfg_.near_per_side ||
         maintenance_ticks_ % 4 == 0) {
-      locate_ring_position();
+      if (const Connection* via = table_.closest_to(addr_)) {
+        send_locate_probe(via->edge);
+      }
     }
     // Partition healing: table-routed probes cannot escape a clique that
     // closed over itself, so periodically inject one through the seed
@@ -1176,22 +664,14 @@ void BrunetNode::maintenance_tick() {
       host_.loop().schedule_after(interval, [this] { maintenance_tick(); });
 }
 
-UdpTransport* BrunetNode::ensure_udp() {
-  if (udp_ == nullptr) {
-    udp_ = std::make_unique<UdpTransport>(host_, cfg_.port);
-    udp_->set_inbound_handler(
+template <class T>
+T* BrunetNode::ensure(std::unique_ptr<T>& transport) {
+  if (transport == nullptr) {
+    transport = std::make_unique<T>(host_, cfg_.port);
+    transport->set_inbound_handler(
         [this](std::shared_ptr<Edge> e) { adopt_edge(e); });
   }
-  return udp_.get();
-}
-
-TcpTransport* BrunetNode::ensure_tcp() {
-  if (tcp_ == nullptr) {
-    tcp_ = std::make_unique<TcpTransport>(host_, cfg_.port);
-    tcp_->set_inbound_handler(
-        [this](std::shared_ptr<Edge> e) { adopt_edge(e); });
-  }
-  return tcp_.get();
+  return transport.get();
 }
 
 bool BrunetNode::dial(const TransportAddress& ta, EdgeCallback on_edge) {
@@ -1200,9 +680,9 @@ bool BrunetNode::dial(const TransportAddress& ta, EdgeCallback on_edge) {
   // — dialing it would handshake with ourselves.
   if (host_.stack().is_local_ip(ta.ip) && ta.port == cfg_.port) return false;
   if (ta.proto == TransportAddress::Proto::kUdp) {
-    on_edge(ensure_udp()->edge_to(ta.ip, ta.port));
+    on_edge(ensure(udp_)->edge_to(ta.ip, ta.port));
   } else {
-    ensure_tcp()->connect(
+    ensure(tcp_)->connect(
         ta.ip, ta.port,
         [this, on_edge = std::move(on_edge)](std::shared_ptr<Edge> edge) {
           if (edge == nullptr || !started_) return;
@@ -1224,12 +704,6 @@ void BrunetNode::bootstrap() {
     });
     if (dialed && seed.proto != cfg_.transport) ++stats_.bootstrap_cross_proto;
   }
-}
-
-void BrunetNode::locate_ring_position() {
-  const Connection* via = table_.closest_to(addr_);
-  if (via == nullptr) return;
-  send_locate_probe(via->edge);
 }
 
 // Route one locate probe through a bootstrap seed instead of our own
@@ -1272,28 +746,16 @@ void BrunetNode::send_locate_probe(const std::shared_ptr<Edge>& via) {
   pkt.msg_id = id;
   pkt.src = addr_;
   pkt.dst = addr_;
-  util::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(ConnectionType::kStructuredNear));
-  NodeInfo{addr_, local_addresses()}.encode(w);
+  auto w = typed_self_info(ConnectionType::kStructuredNear);
   // Reachable-via hints: until we are ring-linked, a responder can reach
   // us neither by routed punch request (exact routing drops at our
   // would-be neighbor) nor by dialing our NATed endpoints — but it can
   // tunnel a link request through any node we already hold an edge to
   // (the bootstrap seed, at minimum).
-  encode_node_infos(w, direct_edge_hints());
+  encode_node_infos(w, linker_.direct_edge_hints());
   pkt.set_payload(w.take());
   ++stats_.originated;
   via->send(pkt.take_wire(send_headroom_));
-}
-
-std::vector<NodeInfo> BrunetNode::direct_edge_hints() const {
-  std::vector<NodeInfo> hints;
-  hints.reserve(4);
-  table_.for_each([&](const Connection& c) {
-    if (hints.size() >= 4 || !is_direct(c.edge)) return;
-    hints.push_back(NodeInfo{c.addr, {}});
-  });
-  return hints;
 }
 
 void BrunetNode::handle_connect_request(const Packet& pkt) {
@@ -1317,7 +779,7 @@ void BrunetNode::handle_connect_request(const Packet& pkt) {
   // handle_neighbor_query, so a misplaced joiner reaches further per
   // round).
   util::ByteWriter w;
-  NodeInfo{addr_, local_addresses()}.encode(w);
+  self_info().encode(w);
   encode_node_infos(w, neighbor_infos(2 * cfg_.near_per_side));
   respond(pkt, PacketType::kConnectResponse, w.take());
 }
@@ -1345,10 +807,8 @@ void BrunetNode::handle_neighbor_query(const Packet& pkt) {
   // Answer with twice the near window: a repairing querier whose true
   // neighbor sits just outside our own near set still discovers it, which
   // doubles the per-round repair reach after correlated joins.
-  std::vector<NodeInfo> infos{NodeInfo{addr_, local_addresses()}};
-  for (auto& info : neighbor_infos(2 * cfg_.near_per_side)) {
-    infos.push_back(std::move(info));
-  }
+  auto infos = neighbor_infos(2 * cfg_.near_per_side);
+  infos.insert(infos.begin(), self_info());
   encode_node_infos(w, infos);
   respond(pkt, PacketType::kNeighborReply, w.take());
 }
@@ -1425,21 +885,17 @@ void BrunetNode::maintain_shortcuts() {
   // a 1/d density over the ring.
   auto& rng = host_.stack().rng();
   const int bit = static_cast<int>(rng.uniform_int(16, 158));
-  Address target = addr_.offset_by_pow2(bit);
-  util::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(ConnectionType::kStructuredFar));
-  NodeInfo{addr_, local_addresses()}.encode(w);
-  request(target, PacketType::kConnectRequest, RoutingMode::kClosest, w.take(),
+  request(addr_.offset_by_pow2(bit), PacketType::kConnectRequest,
+          RoutingMode::kClosest,
+          typed_self_info(ConnectionType::kStructuredFar).take(),
           [this](std::optional<Packet> resp) { on_connect_response(resp); });
 }
 
 void BrunetNode::request_connection(const Address& target,
                                     ConnectionType type) {
   if (!started_ || target == addr_ || table_.contains(target)) return;
-  util::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(type));
-  NodeInfo{addr_, local_addresses()}.encode(w);
-  request(target, PacketType::kConnectRequest, RoutingMode::kExact, w.take(),
+  request(target, PacketType::kConnectRequest, RoutingMode::kExact,
+          typed_self_info(type).take(),
           [this, type](std::optional<Packet> resp) {
             if (!resp) return;
             try {
@@ -1466,30 +922,17 @@ void BrunetNode::trim_connections() {
     std::shared_ptr<Edge> edge;
   };
   std::vector<Victim> trimmable;
-  const auto now = host_.loop().now();
-  auto carries_tunnel = [&](const std::shared_ptr<Edge>& e) {
-    // Our own tunnels' carriers are load-bearing however the connection
-    // is classified...
-    for (const auto& [peer, re] : relay_edges_) {
-      if (re->via() == e) return true;
-    }
-    // ...and so are edges recently forwarding someone *else's* tunnel
-    // through us (we are their R; cutting the edge cuts their link).
-    auto a = relay_via_activity_.find(e.get());
-    return a != relay_via_activity_.end() && now - a->second < cfg_.edge_timeout;
-  };
   table_.for_each([&](const Connection& c) {
     if (c.type == ConnectionType::kStructuredNear) return;
     if (c.type == ConnectionType::kTrafficShortcut) return;
     if (c.peer_requested_near) return;
-    if (carries_tunnel(c.edge)) return;
+    if (linker_.carries_tunnel(c.edge)) return;
     trimmable.push_back({c.addr, c.edge});
   });
   if (trimmable.size() <= cfg_.shortcut_target) return;
-  std::sort(trimmable.begin(), trimmable.end(),
-            [](const Victim& a, const Victim& b) {
-              return a.edge->last_received() < b.edge->last_received();
-            });
+  std::ranges::sort(trimmable, {}, [](const Victim& v) {
+    return v.edge->last_received();
+  });
   const std::size_t excess = trimmable.size() - cfg_.shortcut_target;
   for (std::size_t i = 0; i < excess; ++i) {
     table_.remove(trimmable[i].addr);
@@ -1542,10 +985,7 @@ void BrunetNode::keepalive() {
   // order.  The close notices below hit the wire back-to-back; sort by
   // remote endpoint so the emission order is partition-invariant (the
   // cross-shard digest contract) instead of allocator-dependent.
-  std::sort(stale.begin(), stale.end(),
-            [](const std::shared_ptr<Edge>& a, const std::shared_ptr<Edge>& b) {
-              return a->remote() < b->remote();
-            });
+  std::ranges::sort(stale, {}, [](const auto& e) { return e->remote(); });
   for (auto& e : stale) {
     edges_.erase(e.get());
     send_edge_close(e);

@@ -7,14 +7,11 @@
 //    locate the ring position with routed ConnectRequests, stabilize near
 //    neighbors by gossiping neighbor lists, grow Kleinberg-style shortcut
 //    connections,
-//  * the linker: decentralized connection establishment with NAT
-//    traversal — both endpoints dial each other's known endpoints
-//    simultaneously (with retries), so one probe always looks like the
-//    response to the other's outbound packet (paper Section III-D),
-//  * translated-address discovery: every link handshake and keepalive
-//    tells the peer which endpoint it is seen as, replacing STUN with a
-//    fully decentralized mechanism,
+//  * the link handshake: each handshake and keepalive tells the peer the
+//    endpoint it is seen as (the linker's decentralized STUN),
 //  * edge keepalives and failure detection driving ring self-repair.
+// NAT traversal (dial rounds, hole punching, relay tunnels, NAT class)
+// is the Linker's, in brunet/linker.{hpp,cpp}.
 #pragma once
 
 #include <cstdint>
@@ -22,23 +19,17 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "brunet/connection_table.hpp"
-#include "brunet/packet.hpp"
-#include "brunet/transport.hpp"
+#include "brunet/linker.hpp"
 #include "net/host.hpp"
 #include "util/crypto.hpp"
-#include "util/lifetime.hpp"
 
 namespace ipop::brunet {
-
-class RelayEdge;
 
 /// Cryptographic node identity: an Ed25519 keypair plus the overlay
 /// address derived from its public key (SHA-1 of the key, keeping the
@@ -64,24 +55,6 @@ struct NodeIdentity {
   }
   bool valid() const { return keys.valid(); }
 };
-
-/// Self-classified NAT behavior, inferred from the translated addresses
-/// peers report back during handshakes and keepalives (the decentralized
-/// STUN of paper Section III-D).  Coarse on purpose: one stable external
-/// mapping per protocol reads as cone, distinct external ports toward
-/// different peers read as symmetric, and an untranslated observation
-/// means no NAT at all.  Restricted vs. port-restricted filtering cannot
-/// be told apart without cooperative probe servers, and the linker does
-/// not need to: those cases resolve through punch retries or the relay
-/// fallback.
-enum class NatClass : std::uint8_t {
-  kUnknown = 0,
-  kOpen = 1,
-  kCone = 2,
-  kSymmetric = 3,
-};
-
-const char* nat_class_name(NatClass c);
 
 struct NodeConfig {
   TransportAddress::Proto transport = TransportAddress::Proto::kUdp;
@@ -154,26 +127,6 @@ struct NodeStats {
   /// the same of its peers).
   std::uint64_t departures_rejected = 0;
 };
-
-/// Identity + dialable endpoints of a node, gossiped in the maintenance
-/// protocol so peers can run the linker toward it.
-struct NodeInfo {
-  Address addr;
-  std::vector<TransportAddress> addrs;
-
-  void encode(util::ByteWriter& w) const;
-  static NodeInfo decode(util::ByteReader& r);
-};
-
-/// Encode a NodeInfo list behind its u8 count prefix, clamping to the 255
-/// entries the count byte can express (a >255-neighbor reply would
-/// otherwise silently truncate the count and desynchronize the decoder).
-/// Returns the number of infos actually encoded.
-std::size_t encode_node_infos(util::ByteWriter& w,
-                              std::span<const NodeInfo> infos);
-/// Decode a u8-count-prefixed NodeInfo list (the encode_node_infos
-/// layout); throws util::ParseError on a truncated list.
-std::vector<NodeInfo> decode_node_infos(util::ByteReader& r);
 
 class BrunetNode {
  public:
@@ -265,7 +218,9 @@ class BrunetNode {
   void connect_to(const Address& target,
                   const std::vector<TransportAddress>& candidates,
                   ConnectionType type,
-                  const std::vector<NodeInfo>& via_hints = {});
+                  const std::vector<NodeInfo>& via_hints = {}) {
+    linker_.connect_to(target, candidates, type, via_hints);
+  }
   /// Ask a known overlay address (whose endpoints we do not know) to link
   /// with us: a ConnectRequest is routed to it; the target dials back and
   /// its response gives us its endpoints.  Used by IPOP's traffic-driven
@@ -298,9 +253,8 @@ class BrunetNode {
   std::uint64_t maintenance_ticks() const { return maintenance_ticks_; }
   /// Local + NAT-observed endpoints, advertised during handshakes.
   std::vector<TransportAddress> local_addresses() const;
-  std::optional<Address> right_neighbor() const;
   /// What this node has inferred about the NAT in front of it.
-  NatClass nat_class() const { return nat_class_; }
+  NatClass nat_class() const { return linker_.nat_class(); }
   /// Per-path send headroom (buffer-ownership rule 6): the reallocation
   /// budget left in front of locally built wire images, derived at
   /// edge-establishment time as max(kPacketHeadroom, header + the
@@ -309,28 +263,13 @@ class BrunetNode {
   std::size_t send_headroom() const { return send_headroom_; }
   /// Live relay tunnels keyed by tunnel peer (introspection for tests
   /// and the hostile soak's path audit).
-  const std::map<Address, std::shared_ptr<RelayEdge>>& relay_edges() const {
-    return relay_edges_;
-  }
+  const Linker::RelayMap& relay_edges() const { return linker_.relay_edges(); }
 
  private:
+  // The linker drives the table, stats, dials and handshake from here.
+  friend class Linker;
   struct PendingRequest {
     ResponseCallback cb;
-    std::uint64_t timer = 0;
-  };
-  struct LinkAttempt {
-    std::vector<TransportAddress> candidates;
-    /// The peer's neighbors (from its punch response): relay candidates
-    /// if dialing fails.
-    std::vector<NodeInfo> relay_candidates;
-    ConnectionType type = ConnectionType::kStructuredNear;
-    int attempts_left = 0;
-    /// Dial rounds completed; round 1 successes are direct links,
-    /// anything later that needed the punch exchange counts as punched.
-    int round = 0;
-    NatClass peer_nat = NatClass::kUnknown;
-    bool punch_sent = false;
-    bool relay_tried = false;
     std::uint64_t timer = 0;
   };
 
@@ -358,6 +297,11 @@ class BrunetNode {
   std::uint32_t expect_response(ResponseCallback cb);
 
   // Link handshake.
+  /// Our identity and dialable endpoints, as gossiped to peers.
+  NodeInfo self_info() const { return NodeInfo{addr_, local_addresses()}; }
+  /// A connection-type byte, then self_info(): the kConnectRequest body
+  /// and the head of a link handshake.
+  util::ByteWriter typed_self_info(ConnectionType type) const;
   /// Our identity plus where we see the peer: a kLinkRequest, or with
   /// `reply_to` set, the kLinkResponse answering that peer's request.
   void send_link(const std::shared_ptr<Edge>& edge, ConnectionType type,
@@ -366,23 +310,8 @@ class BrunetNode {
   /// a request, answer it.
   void handle_link(const std::shared_ptr<Edge>& edge, const Packet& pkt);
   void handle_edge_ping(const std::shared_ptr<Edge>& edge, const Packet& pkt);
-  void handle_edge_pong(const std::shared_ptr<Edge>& edge, const Packet& pkt);
   void handle_departing(const std::shared_ptr<Edge>& edge, const Packet& pkt);
 
-  // NAT traversal.
-  void send_punch_request(const Address& target);
-  void on_punch_response(const Address& target, std::optional<Packet> resp);
-  void handle_punch_request(const Packet& pkt);
-  /// Tunnel the link handshake through a mutual neighbor; returns false
-  /// when no usable relay is known.
-  bool start_relay(const Address& target, LinkAttempt& attempt);
-  /// Swap a tunnel whose carrier died onto its pre-armed backup via.
-  /// Returns false when no backup is armed or the backup edge is gone
-  /// (the tunnel then closes as before).
-  bool failover_relay(const std::shared_ptr<RelayEdge>& re);
-  void handle_relay_forward(const std::shared_ptr<Edge>& edge, Packet pkt);
-  void handle_relay_deliver(const std::shared_ptr<Edge>& edge,
-                            const Packet& pkt);
   /// Drop a connection and tell the churn observers about it.
   void evict_connection(const Address& addr);
   void notify_connection_lost(const Address& addr);
@@ -390,7 +319,6 @@ class BrunetNode {
   // Ring maintenance.
   void maintenance_tick();
   void bootstrap();
-  void locate_ring_position();
   void send_locate_probe(const std::shared_ptr<Edge>& via);
   void probe_via_seed();
   void stabilize();
@@ -407,23 +335,16 @@ class BrunetNode {
   void on_connect_response(const std::optional<Packet>& resp);
   void consider_candidates(const std::vector<NodeInfo>& infos);
   bool should_be_near(const Address& candidate) const;
-  void link_retry_tick(Address target);
 
   std::vector<NodeInfo> neighbor_infos(std::size_t k) const;
-  /// Overlay nodes we hold a live *direct* (non-relay) edge to, as
-  /// address-only NodeInfos: the "reachable via" hints a locate probe
-  /// carries so responders can tunnel a link back to us before we are
-  /// routable (capped at 4 — one reachable relay suffices).
-  std::vector<NodeInfo> direct_edge_hints() const;
-  /// Remember a translated endpoint peers observe for us (and refine the
-  /// NAT self-classification); on new discovery, push a refreshed
-  /// identity to every connection.
-  void record_observed(const TransportAddress& ta);
+  /// Push our refreshed endpoints to every connection.
   void broadcast_identity();
+  /// One packet from us, its wire image shared by every connection's send.
+  void send_to_all(PacketType type, std::vector<std::uint8_t> body);
   /// Lazily bring up a transport (bootstrap and the mixed-transport
   /// linker fallback dial whatever protocol the peer offers).
-  UdpTransport* ensure_udp();
-  TcpTransport* ensure_tcp();
+  template <class T>
+  T* ensure(std::unique_ptr<T>& transport);
   using EdgeCallback = std::function<void(const std::shared_ptr<Edge>&)>;
   /// Dial `ta` over the transport its protocol names: a datagram edge is
   /// handed to `on_edge` at once, a stream edge once connected (a failed
@@ -433,7 +354,6 @@ class BrunetNode {
   /// Re-derive send_headroom_ from the live edge set; called whenever an
   /// edge is adopted or closed.
   void recompute_send_headroom();
-  std::uint32_t next_msg_id() { return msg_id_counter_++; }
 
   net::Host& host_;
   Address addr_;
@@ -447,17 +367,7 @@ class BrunetNode {
   std::unique_ptr<TcpTransport> tcp_;
   std::unique_ptr<UdpTransport> udp_;
   std::vector<TransportAddress> seeds_;
-  std::set<TransportAddress> observed_;
-  NatClass nat_class_ = NatClass::kUnknown;
   std::size_t send_headroom_ = util::kPacketHeadroom;
-  /// Live relay tunnels by tunnel peer.  Ordered map: teardown on via
-  /// close iterates it, and address order is stable across runs where
-  /// pointer hash order is not.
-  std::map<Address, std::shared_ptr<RelayEdge>> relay_edges_;
-  /// Last time an edge carried a relay forward *through* us (we were the
-  /// R of someone else's tunnel).  Keeps trim_connections from cutting a
-  /// tunnel we cannot see from our own relay_edges_.
-  std::map<Edge*, TimePoint> relay_via_activity_;
   std::vector<ConnectionLostHandler> conn_lost_observers_;
   std::vector<std::function<void()>> departure_hooks_;
 
@@ -471,16 +381,14 @@ class BrunetNode {
   std::map<Edge*, std::shared_ptr<Edge>> edges_;
   std::map<PacketType, PacketHandler> handlers_;
   // Only iterated in stop() to cancel timers (order-insensitive): O(1)
-  // lookup wins on the response-correlation and link-attempt paths.
-  std::unordered_map<Address, LinkAttempt> linking_;
+  // lookup wins on the response-correlation path.
   std::unordered_map<std::uint32_t, PendingRequest> pending_requests_;
   std::uint32_t msg_id_counter_ = 1;
   std::uint64_t maintenance_timer_ = 0;
   std::uint64_t maintenance_ticks_ = 0;
-  /// Guards the punch/link retry timers: declared last so a node dying
-  /// mid-punch expires every outstanding callback before the members
-  /// they would touch are gone (timer-lifetime rule).
-  util::AliveToken alive_;
+  /// Declared last: its retry-timer guard expires before the members
+  /// its callbacks touch are gone (timer-lifetime rule).
+  Linker linker_{*this};
 };
 
 }  // namespace ipop::brunet

@@ -97,9 +97,4 @@ Packet Packet::decode(util::Buffer wire) {
   return p;
 }
 
-Packet Packet::decode(std::span<const std::uint8_t> bytes) {
-  // lint:allow(zero-copy): span-entry API edge — foreign bytes must be adopted into owned storage once
-  return decode(util::Buffer::copy_of(bytes));
-}
-
 }  // namespace ipop::brunet

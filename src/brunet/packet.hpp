@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -120,8 +119,6 @@ struct Packet {
   /// Zero-copy decode: parses the header and adopts `wire` as the shared
   /// backing store.  Throws util::ParseError on truncation.
   static Packet decode(util::Buffer wire);
-  /// Copying decode for non-owned input.
-  static Packet decode(std::span<const std::uint8_t> bytes);
 
  private:
   void write_header(std::uint8_t* h) const;

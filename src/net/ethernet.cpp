@@ -1,7 +1,6 @@
 #include "net/ethernet.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace ipop::net {
 
@@ -14,13 +13,6 @@ MacAddress MacAddress::from_index(std::uint64_t index) {
     m.octets[2 + i] = static_cast<std::uint8_t>(index >> (8 * (3 - i)));
   }
   return m;
-}
-
-std::string MacAddress::to_string() const {
-  char buf[18];
-  std::snprintf(buf, sizeof buf, "%02x:%02x:%02x:%02x:%02x:%02x", octets[0],
-                octets[1], octets[2], octets[3], octets[4], octets[5]);
-  return buf;
 }
 
 namespace {

@@ -9,7 +9,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 
 #include "util/buffer.hpp"
 #include "util/bytes.hpp"
@@ -27,7 +26,6 @@ struct MacAddress {
   static MacAddress from_index(std::uint64_t index);
 
   bool is_broadcast() const { return *this == broadcast(); }
-  std::string to_string() const;
 
   friend bool operator==(const MacAddress&, const MacAddress&) = default;
   friend auto operator<=>(const MacAddress&, const MacAddress&) = default;

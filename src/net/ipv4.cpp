@@ -57,10 +57,6 @@ Ipv4Prefix Ipv4Prefix::parse(std::string_view cidr) {
   return p;
 }
 
-std::string Ipv4Prefix::to_string() const {
-  return network.to_string() + "/" + std::to_string(length);
-}
-
 namespace {
 
 /// Add `data` to a one's-complement accumulator as big-endian 16-bit words

@@ -53,7 +53,6 @@ struct Ipv4Prefix {
   bool contains(Ipv4Address a) const {
     return (a.value & mask()) == (network.value & mask());
   }
-  std::string to_string() const;
 
   friend bool operator==(const Ipv4Prefix&, const Ipv4Prefix&) = default;
 };

@@ -2,17 +2,6 @@
 
 namespace ipop::net {
 
-std::string TcpFlags::to_string() const {
-  std::string s;
-  if (syn) s += "SYN,";
-  if (ack) s += "ACK,";
-  if (fin) s += "FIN,";
-  if (rst) s += "RST,";
-  if (psh) s += "PSH,";
-  if (!s.empty()) s.pop_back();
-  return s.empty() ? "-" : s;
-}
-
 const util::BufferChain kNoPayload;
 
 util::Buffer TcpSegment::encode_gather(Ipv4Address src_ip, Ipv4Address dst_ip,

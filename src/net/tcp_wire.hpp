@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "net/ipv4.hpp"
 #include "util/buffer_chain.hpp"
@@ -38,7 +37,6 @@ struct TcpFlags {
     f.ack = bits & 0x10;
     return f;
   }
-  std::string to_string() const;
 };
 
 /// Header fields of a segment to send.  The payload never lives here: it

@@ -49,10 +49,6 @@ std::uint8_t& Buffer::operator[](std::size_t i) {
   return data()[i];
 }
 
-std::size_t Buffer::tailroom() const {
-  return s_ ? s_->bytes.size() - end_ : 0;
-}
-
 std::span<std::uint8_t> Buffer::grow_front(std::size_t n,
                                            std::size_t realloc_headroom) {
   if (n == 0) return {data(), 0};
@@ -73,11 +69,6 @@ std::span<std::uint8_t> Buffer::grow_front(std::size_t n,
   begin_ = realloc_headroom;
   end_ = new_end;
   return {data(), n};
-}
-
-void Buffer::prepend(std::span<const std::uint8_t> header) {
-  auto slot = grow_front(header.size());
-  if (!header.empty()) std::memcpy(slot.data(), header.data(), header.size());
 }
 
 void Buffer::drop_front(std::size_t n) {

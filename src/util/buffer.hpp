@@ -66,9 +66,8 @@ class Buffer {
   const std::uint8_t* begin() const { return data(); }
   const std::uint8_t* end() const { return data() + size(); }
 
-  /// Spare bytes in front of / behind the data region.
+  /// Spare bytes in front of the data region.
   std::size_t headroom() const { return begin_; }
-  std::size_t tailroom() const;
   /// Handles (Buffers) referencing this storage; 0 for a null buffer.
   long use_count() const { return s_ ? s_.use_count() : 0; }
   bool unique() const { return use_count() == 1; }
@@ -83,8 +82,6 @@ class Buffer {
   std::span<std::uint8_t> grow_front(std::size_t n,
                                      std::size_t realloc_headroom =
                                          kPacketHeadroom);
-  /// grow_front + copy `header` into the slot.
-  void prepend(std::span<const std::uint8_t> header);
   /// Shrink the data region from the front (the bytes become headroom).
   void drop_front(std::size_t n);
   void drop_back(std::size_t n);

@@ -33,15 +33,6 @@ void BufferChain::clear() {
   size_ = 0;
 }
 
-std::uint8_t BufferChain::at(std::size_t i) const {
-  check_range(i, 1);
-  for (const Buffer& seg : segs_) {
-    if (i < seg.size()) return seg.data()[i];
-    i -= seg.size();
-  }
-  throw ParseError("BufferChain: at out of range");  // unreachable
-}
-
 void BufferChain::drop_front(std::size_t n) {
   if (n > size_) throw ParseError("BufferChain: drop_front past end");
   size_ -= n;
@@ -90,12 +81,6 @@ const Buffer& BufferChain::coalesce() {
   segs_.clear();
   segs_.push_back(std::move(flat));
   return segs_.front();
-}
-
-std::vector<std::uint8_t> BufferChain::to_vector() const {
-  std::vector<std::uint8_t> out(size_);
-  gather(0, out);
-  return out;
 }
 
 void BufferChain::check_range(std::size_t offset, std::size_t len) const {

@@ -47,9 +47,6 @@ class BufferChain {
   void append(BufferChain other);
   void clear();
 
-  /// Logical byte access (bounds-checked; O(segments) scan).
-  std::uint8_t at(std::size_t i) const;
-
   /// Drop n bytes from the logical front: whole segments are unlinked,
   /// a partially consumed head segment shrinks its view edge in place.
   /// Throws ParseError when n exceeds size().
@@ -91,8 +88,6 @@ class BufferChain {
   /// once into fresh storage (with kPacketHeadroom in front) and the
   /// flattened segment replaces them, so repeated calls stay O(1).
   const Buffer& coalesce();
-
-  std::vector<std::uint8_t> to_vector() const;
 
  private:
   void check_range(std::size_t offset, std::size_t len) const;

@@ -13,24 +13,4 @@ std::string to_hex(std::span<const std::uint8_t> data) {
   return out;
 }
 
-namespace {
-int hex_value(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  throw ParseError("from_hex: invalid digit");
-}
-}  // namespace
-
-std::vector<std::uint8_t> from_hex(std::string_view hex) {
-  if (hex.size() % 2 != 0) throw ParseError("from_hex: odd length");
-  std::vector<std::uint8_t> out;
-  out.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    out.push_back(static_cast<std::uint8_t>(hex_value(hex[i]) << 4 |
-                                            hex_value(hex[i + 1])));
-  }
-  return out;
-}
-
 }  // namespace ipop::util

@@ -5,6 +5,7 @@
 // that byte-order and bounds handling live in exactly one place.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -161,6 +162,14 @@ class ByteReader {
     pos_ += n;
     return out;
   }
+  /// The next N bytes as a fixed-size array (addresses, keys, signatures).
+  template <std::size_t N>
+  std::array<std::uint8_t, N> array() {
+    std::array<std::uint8_t, N> out;
+    auto s = bytes(N);
+    std::copy(s.begin(), s.end(), out.begin());
+    return out;
+  }
   std::vector<std::uint8_t> bytes_copy(std::size_t n) {
     auto s = bytes(n);
     return {s.begin(), s.end()};
@@ -232,8 +241,5 @@ inline std::uint32_t load_u32(const std::uint8_t* p) {
 
 /// Render bytes as lowercase hex (diagnostics and test assertions).
 std::string to_hex(std::span<const std::uint8_t> data);
-
-/// Parse hex back into bytes; throws ParseError on odd length / bad digit.
-std::vector<std::uint8_t> from_hex(std::string_view hex);
 
 }  // namespace ipop::util

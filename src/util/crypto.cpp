@@ -130,11 +130,6 @@ void Sha512::update(std::span<const std::uint8_t> data) {
   }
 }
 
-void Sha512::update(std::string_view data) {
-  update(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(data.data()), data.size()));
-}
-
 Sha512Digest Sha512::finish() {
   // Pad: 0x80, zeros, then the 128-bit bit count (we only track 64 bits
   // of length — plenty for any in-sim message).
@@ -156,12 +151,6 @@ Sha512Digest Sha512::finish() {
 }
 
 Sha512Digest sha512(std::span<const std::uint8_t> data) {
-  Sha512 ctx;
-  ctx.update(data);
-  return ctx.finish();
-}
-
-Sha512Digest sha512(std::string_view data) {
   Sha512 ctx;
   ctx.update(data);
   return ctx.finish();

@@ -37,7 +37,6 @@ class Sha512 {
 
   void reset();
   void update(std::span<const std::uint8_t> data);
-  void update(std::string_view data);
   /// Finalizes and returns the digest; reset() before reuse.
   Sha512Digest finish();
 
@@ -52,7 +51,6 @@ class Sha512 {
 
 /// One-shot convenience.
 Sha512Digest sha512(std::span<const std::uint8_t> data);
-Sha512Digest sha512(std::string_view data);
 
 /// 32-byte compressed Edwards point identifying a node.
 struct PublicKey {

@@ -128,9 +128,4 @@ Sha1Digest sha1(std::string_view data) {
   return ctx.finish();
 }
 
-std::string sha1_hex(std::string_view data) {
-  auto d = sha1(data);
-  return to_hex(std::span<const std::uint8_t>(d.data(), d.size()));
-}
-
 }  // namespace ipop::util

@@ -42,7 +42,4 @@ class Sha1 {
 Sha1Digest sha1(std::span<const std::uint8_t> data);
 Sha1Digest sha1(std::string_view data);
 
-/// Digest rendered as 40 hex characters.
-std::string sha1_hex(std::string_view data);
-
 }  // namespace ipop::util

@@ -8,36 +8,10 @@ namespace ipop::util {
 
 void RunningStats::add(double x) {
   ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(count_);
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
 }
-
-void RunningStats::merge(const RunningStats& o) {
-  if (o.count_ == 0) return;
-  if (count_ == 0) {
-    *this = o;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(o.count_);
-  const double delta = o.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += o.m2_ + delta * delta * na * nb / n;
-  count_ += o.count_;
-  min_ = std::min(min_, o.min_);
-  max_ = std::max(max_, o.max_);
-}
-
-double RunningStats::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 void Samples::ensure_sorted() const {
   if (!sorted_) {

@@ -12,17 +12,13 @@
 
 namespace ipop::util {
 
-/// Single-pass mean/variance/min/max accumulator (Welford's algorithm).
+/// Single-pass mean/min/max accumulator (Welford's running mean).
 class RunningStats {
  public:
   void add(double x);
-  void merge(const RunningStats& other);
 
   std::int64_t count() const { return count_; }
   double mean() const { return count_ > 0 ? mean_ : 0.0; }
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  double variance() const;
-  double stddev() const;
   double min() const { return count_ > 0 ? min_ : 0.0; }
   double max() const { return count_ > 0 ? max_ : 0.0; }
   double sum() const { return mean_ * static_cast<double>(count_); }
@@ -30,7 +26,6 @@ class RunningStats {
  private:
   std::int64_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };

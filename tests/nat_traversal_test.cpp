@@ -1,7 +1,8 @@
 // NAT traversal: the full NAT-type pair matrix (direct / punched /
 // relayed asserted per pair), reflexive-address discovery, the
 // port-forwarded rendezvous, mixed-transport links, punch-timer lifetime
-// under mid-punch node death, and the relay path's zero-copy contract.
+// under mid-punch node death, the relay path's zero-copy contract, and
+// the relay's own trimming keeping the edges that carry a tunnel.
 //
 // The expectations encode RFC 3489 punchability physics:
 //   * a full cone accepts any inbound packet on an established mapping —
@@ -42,19 +43,25 @@ enum class Outcome { kDirect, kPunched, kRelayed };
 struct TraversalEnv {
   net::Network net{317};
   net::Host* seed_host = nullptr;
-  net::Host* pub2_host = nullptr;
   net::Host* host_a = nullptr;
   net::Host* host_b = nullptr;
   net::NatBox* nat_a = nullptr;
   net::NatBox* nat_b = nullptr;
   std::unique_ptr<BrunetNode> seed;
   std::unique_ptr<BrunetNode> pub2;
+  std::unique_ptr<BrunetNode> pub3;
   std::unique_ptr<BrunetNode> node_a;
   std::unique_ptr<BrunetNode> node_b;
   /// When set before build(), a second public node joins at 8.0.0.2 —
   /// giving relay-tunnel linkers a runner-up carrier to pre-arm as
   /// backup (the failover test needs two public candidates).
   bool second_public = false;
+  /// When set before build(), a third public node joins at 8.0.0.3.
+  bool third_public = false;
+  /// When non-empty before build(), the overlay addresses of seed, pub2,
+  /// pub3, node_a and node_b in that order (absent public nodes take
+  /// none); otherwise every address is drawn at random.
+  std::vector<Address> fixed_addrs;
 
   void build(net::NatType type_a, net::NatType type_b,
              TransportAddress::Proto proto_a =
@@ -87,26 +94,29 @@ struct TraversalEnv {
                        "8.0.0.20", &nat_b);
 
     util::Rng rng(55);
+    std::size_t fixed = 0;
+    auto next_addr = [&] {
+      return fixed_addrs.empty() ? Address::random(rng)
+                                 : fixed_addrs.at(fixed++);
+    };
     NodeConfig cfg;
     cfg.transport = TransportAddress::Proto::kUdp;
-    seed = std::make_unique<BrunetNode>(*seed_host, Address::random(rng),
-                                        cfg);
+    seed = std::make_unique<BrunetNode>(*seed_host, next_addr(), cfg);
     const TransportAddress first_seed_ta{TransportAddress::Proto::kUdp,
                                          ip("8.0.0.1"), 17001};
-    if (second_public) {
-      pub2_host = &net.add_host("pub2");
-      net.connect_to_switch(pub2_host->stack(),
-                            {"eth0", ip("8.0.0.2"), 24}, sw, lan);
-      pub2 = std::make_unique<BrunetNode>(*pub2_host, Address::random(rng),
-                                          cfg);
-      pub2->add_seed(first_seed_ta);
-    }
+    auto add_public = [&](const char* name, const char* addr) {
+      auto& h = net.add_host(name);
+      net.connect_to_switch(h.stack(), {"eth0", ip(addr), 24}, sw, lan);
+      auto node = std::make_unique<BrunetNode>(h, next_addr(), cfg);
+      node->add_seed(first_seed_ta);
+      return node;
+    };
+    if (second_public) pub2 = add_public("pub2", "8.0.0.2");
+    if (third_public) pub3 = add_public("pub3", "8.0.0.3");
     cfg.transport = proto_a;
-    node_a = std::make_unique<BrunetNode>(*host_a, Address::random(rng),
-                                          cfg);
+    node_a = std::make_unique<BrunetNode>(*host_a, next_addr(), cfg);
     cfg.transport = proto_b;
-    node_b = std::make_unique<BrunetNode>(*host_b, Address::random(rng),
-                                          cfg);
+    node_b = std::make_unique<BrunetNode>(*host_b, next_addr(), cfg);
     const TransportAddress seed_ta{TransportAddress::Proto::kUdp,
                                    ip("8.0.0.1"), 17001};
     node_a->add_seed(seed_ta);
@@ -116,6 +126,7 @@ struct TraversalEnv {
   void start_and_run(util::Duration d = seconds(60)) {
     seed->start();
     if (pub2) pub2->start();
+    if (pub3) pub3->start();
     node_a->start();
     node_b->start();
     net.loop().run_until(d);
@@ -424,6 +435,86 @@ TEST(NatRelayFailover, TunnelSwapsToPreArmedBackupWhenCarrierLeaves) {
   answered = 0;
   for (int i = 0; i < 6; ++i) ping_both_ways();
   EXPECT_GE(answered, 6) << "failed-over tunnel not carrying traffic";
+}
+
+// --- the relay's own trimming -----------------------------------------------
+
+Address ring_position(std::uint8_t top, std::uint8_t bottom) {
+  Address::Bytes b{};
+  b[0] = top;
+  b[Address::kBytes - 1] = bottom;
+  return Address(b);
+}
+
+// A node relaying someone else's tunnel holds no RelayEdge of its own:
+// only its record of recent relay forwards tells trim_connections that
+// the two edges carrying the tunnel are load-bearing.  Here the relay
+// (the seed) has a saturated near set made of two public nodes, and the
+// NATed tunnel endpoints sit across the ring as plain leaf links, so any
+// edge to them that does not carry the tunnel is trimmed.
+TEST(NatRelayTrim, RelayKeepsEdgesCarryingATunnelThroughIt) {
+  TraversalEnv f;
+  f.second_public = true;
+  f.third_public = true;
+  // seed and pub2 adjacent, pub3 just behind them across the wrap, and
+  // the symmetric pair half a ring away.  The seed is the lowest address
+  // in node_b's neighborhood, so node_a picks it as the relay.
+  f.fixed_addrs = {ring_position(0x00, 0x01), ring_position(0x00, 0x02),
+                   Address(Address::Bytes{0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                                          0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                                          0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                                          0xFF, 0xFF, 0xFF, 0xFF, 0xFF}),
+                   ring_position(0x80, 0x00), ring_position(0x80, 0x01)};
+  f.build(net::NatType::kSymmetric, net::NatType::kSymmetric);
+  f.start_and_run();
+
+  BrunetNode& relay = *f.seed;
+  const Connection* ab = f.node_a->table().find(f.node_b->address());
+  ASSERT_NE(ab, nullptr);
+  ASSERT_EQ(ab->edge->remote().proto, TransportAddress::Proto::kRelay);
+  auto it = f.node_a->relay_edges().find(f.node_b->address());
+  ASSERT_NE(it, f.node_a->relay_edges().end());
+  const std::shared_ptr<RelayEdge> tunnel = it->second;
+  ASSERT_EQ(tunnel->relay(), relay.address());
+  ASSERT_TRUE(relay.relay_edges().empty());
+  const Connection* ra = relay.table().find(f.node_a->address());
+  const Connection* rb = relay.table().find(f.node_b->address());
+  ASSERT_NE(ra, nullptr);
+  ASSERT_NE(rb, nullptr);
+  ASSERT_FALSE(ra->peer_requested_near);
+  ASSERT_FALSE(rb->peer_requested_near);
+  const std::shared_ptr<Edge> carrier_a = ra->edge;
+  const std::shared_ptr<Edge> carrier_b = rb->edge;
+
+  // One near neighbor per side and no shortcut budget: pub2 and pub3
+  // now fill the relay's near set, and every other link is trimmable.
+  relay.config().near_per_side = 1;
+  relay.config().shortcut_target = 0;
+  // Keep the tunnel busy for two edge timeouts: dozens of maintenance
+  // ticks, each of which runs trim_connections at the relay.
+  const auto forwarded0 = relay.stats().relay_forwarded;
+  int answered = 0;
+  for (int i = 0; i < 30; ++i) {
+    f.node_a->request(f.node_b->address(), PacketType::kPing,
+                      RoutingMode::kExact, {1, 2, 3},
+                      [&](std::optional<Packet> resp) {
+                        if (resp.has_value()) ++answered;
+                      });
+    f.net.loop().run_until(f.net.loop().now() + seconds(1));
+  }
+  EXPECT_GE(answered, 28) << "tunneled overlay traffic not flowing";
+  EXPECT_GT(relay.stats().relay_forwarded, forwarded0);
+  EXPECT_EQ(relay.table().count(ConnectionType::kStructuredNear), 2u);
+  ra = relay.table().find(f.node_a->address());
+  rb = relay.table().find(f.node_b->address());
+  ASSERT_NE(ra, nullptr) << "relay trimmed its edge to a tunnel endpoint";
+  ASSERT_NE(rb, nullptr) << "relay trimmed its edge to a tunnel endpoint";
+  EXPECT_NE(ra->type, ConnectionType::kStructuredNear);
+  EXPECT_NE(rb->type, ConnectionType::kStructuredNear);
+  EXPECT_EQ(ra->edge, carrier_a);
+  EXPECT_EQ(rb->edge, carrier_b);
+  EXPECT_EQ(tunnel->relay(), relay.address()) << "tunnel moved off the relay";
+  EXPECT_EQ(f.node_a->stats().relay_failovers, 0u);
 }
 
 }  // namespace

@@ -20,9 +20,8 @@ using test::buf;
 using test::tcp_wire;
 using test::udp_wire;
 
-TEST(MacTest, FormatAndBroadcast) {
+TEST(MacTest, Broadcast) {
   MacAddress m{{0x02, 0x1b, 0x00, 0x00, 0x00, 0x05}};
-  EXPECT_EQ(m.to_string(), "02:1b:00:00:00:05");
   EXPECT_FALSE(m.is_broadcast());
   EXPECT_TRUE(MacAddress::broadcast().is_broadcast());
 }
@@ -68,7 +67,6 @@ TEST(Ipv4PrefixTest, ContainsAndMask) {
   auto p = Ipv4Prefix::parse("172.16.0.0/16");
   EXPECT_TRUE(p.contains(Ipv4Address::parse("172.16.255.1")));
   EXPECT_FALSE(p.contains(Ipv4Address::parse("172.17.0.1")));
-  EXPECT_EQ(p.to_string(), "172.16.0.0/16");
   auto all = Ipv4Prefix::parse("0.0.0.0/0");
   EXPECT_TRUE(all.contains(Ipv4Address::parse("8.8.8.8")));
   auto host = Ipv4Prefix::parse("10.0.0.1/32");
@@ -354,7 +352,6 @@ TEST(TcpWireTest, FlagsEncodeDecode) {
   EXPECT_TRUE(g.psh);
   EXPECT_FALSE(g.ack);
   EXPECT_FALSE(g.rst);
-  EXPECT_EQ(g.to_string(), "SYN,FIN,PSH");
 }
 
 TEST(TcpWireTest, SequenceComparisonsWrap) {

@@ -76,8 +76,10 @@ TEST(ConnectionTrimming, RingRemainsCorrectAfterTrimming) {
             [](auto& a, auto& b) { return a.first < b.first; });
   int correct = 0;
   for (std::size_t i = 0; i < sorted.size(); ++i) {
-    auto right = sorted[i].second->right_neighbor();
-    if (right && *right == sorted[(i + 1) % sorted.size()].first) ++correct;
+    const auto* right = sorted[i].second->table().right_neighbor();
+    if (right && right->addr == sorted[(i + 1) % sorted.size()].first) {
+      ++correct;
+    }
   }
   EXPECT_EQ(correct, static_cast<int>(sorted.size()));
 }

@@ -16,15 +16,16 @@ namespace {
 // --- SHA-1 (FIPS 180-1 / RFC 3174 vectors) ---------------------------------
 
 TEST(Sha1Test, EmptyString) {
-  EXPECT_EQ(sha1_hex(""), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
+  EXPECT_EQ(to_hex(sha1("")), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
 }
 
 TEST(Sha1Test, Abc) {
-  EXPECT_EQ(sha1_hex("abc"), "a9993e364706816aba3e25717850c26c9cd0d89d");
+  EXPECT_EQ(to_hex(sha1("abc")), "a9993e364706816aba3e25717850c26c9cd0d89d");
 }
 
 TEST(Sha1Test, LongerVector) {
-  EXPECT_EQ(sha1_hex("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+  EXPECT_EQ(to_hex(sha1(
+                "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
             "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
 }
 
@@ -117,13 +118,9 @@ TEST(BytesTest, PatchU16) {
   EXPECT_EQ(r.u16(), 0xBEEF);
 }
 
-TEST(BytesTest, HexRoundTrip) {
+TEST(BytesTest, ToHex) {
   std::vector<std::uint8_t> data{0x00, 0x7F, 0xFF, 0x12};
   EXPECT_EQ(to_hex(data), "007fff12");
-  EXPECT_EQ(from_hex("007fff12"), data);
-  EXPECT_EQ(from_hex("007FFF12"), data);
-  EXPECT_THROW(from_hex("abc"), ParseError);   // odd length
-  EXPECT_THROW(from_hex("zz"), ParseError);    // bad digit
 }
 
 TEST(BytesTest, RestAndSkip) {
@@ -145,30 +142,14 @@ TEST(StatsTest, RunningStatsBasics) {
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
   EXPECT_EQ(s.count(), 8);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 1e-3);  // sample stddev
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(StatsTest, RunningStatsMergeMatchesCombined) {
-  Rng rng(123);
-  RunningStats a, b, all;
-  for (int i = 0; i < 500; ++i) {
-    double x = rng.normal(10, 3);
-    (i % 2 == 0 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
 }
 
 TEST(StatsTest, EmptyStatsAreZero) {
   RunningStats s;
   EXPECT_EQ(s.count(), 0);
   EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.stddev(), 0.0);
 }
 
 TEST(StatsTest, Percentiles) {
@@ -243,22 +224,26 @@ TEST(RngTest, ChanceExtremes) {
 
 // --- SHA-512 (FIPS 180-4 vectors) ------------------------------------------
 
+std::span<const std::uint8_t> bytes_of(std::string_view s) {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
+
 TEST(Sha512Test, EmptyString) {
-  EXPECT_EQ(to_hex(crypto::sha512("")),
+  EXPECT_EQ(to_hex(crypto::sha512(bytes_of(""))),
             "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce"
             "47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e");
 }
 
 TEST(Sha512Test, Abc) {
-  EXPECT_EQ(to_hex(crypto::sha512("abc")),
+  EXPECT_EQ(to_hex(crypto::sha512(bytes_of("abc"))),
             "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a"
             "2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f");
 }
 
 TEST(Sha512Test, TwoBlockMessage) {
-  EXPECT_EQ(to_hex(crypto::sha512(
+  EXPECT_EQ(to_hex(crypto::sha512(bytes_of(
                 "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
-                "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu")),
+                "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"))),
             "8e959b75dae313da8cf4f72814fc143f8f7779c6eb9f7fa17299aeadb6889018"
             "501d289e4900f7e4331b99dec4b5433ac7d329eeb6dd26545e96e55b874be909");
 }
@@ -267,16 +252,27 @@ TEST(Sha512Test, IncrementalMatchesOneShot) {
   const std::string msg(300, 'q');
   for (std::size_t split : {0u, 1u, 127u, 128u, 129u, 255u, 300u}) {
     crypto::Sha512 ctx;
-    ctx.update(std::string_view(msg).substr(0, split));
+    ctx.update(bytes_of(std::string_view(msg).substr(0, split)));
     // A default span has a null data pointer; with bytes already buffered
     // it must not reach memcpy (UBSan aborts on that).
     ctx.update(std::span<const std::uint8_t>{});
-    ctx.update(std::string_view(msg).substr(split));
-    EXPECT_EQ(ctx.finish(), crypto::sha512(msg)) << "split at " << split;
+    ctx.update(bytes_of(std::string_view(msg).substr(split)));
+    EXPECT_EQ(ctx.finish(), crypto::sha512(bytes_of(msg)))
+        << "split at " << split;
   }
 }
 
 // --- Ed25519 (RFC 8032 section 7.1 vectors) --------------------------------
+
+/// Bytes of a well-formed hex test vector.
+std::vector<std::uint8_t> from_hex(std::string_view hex) {
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<std::uint8_t>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
 
 crypto::KeyPair rfc8032_keypair(const char* seed_hex, const char* pub_hex) {
   const auto seed = from_hex(seed_hex);
